@@ -1,13 +1,13 @@
 """Benchmark the five specjoint commands on seeded synthetic inputs.
 
-    python3 perfbench/run.py --workload short --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload short --seed 1 --seconds 24 --trace 0
 
 Runs from the root of a checkout; builds nothing, imports ``src/specjoint``.
 The commands prepare, train, enhance, evaluate and distortion-profile run
 through ``specjoint.cli.main`` with ``--jobs 1``, and a closed-loop latency
 test reads, enhances and writes one utterance at a time. A warm-up round runs
 each step once, in pipeline order; the timed rounds then run the workload's
-schedule on identical inputs, and each throughput is the command's fastest
+schedule on identical inputs, and each throughput is the command's median
 pass. Every output is checked (see ``checks.py``), and every timed round must
 reproduce the warm-up's files byte for byte.
 
@@ -68,7 +68,6 @@ END_TO_END = (
 )
 
 COMMANDS = ("prepare", "train", "enhance", "evaluate", "profile")  # "profile" is distortion-profile
-SYNTH_REPEATS = 3
 
 # Runs one command in a child process and prints the child's peak RSS (VmHWM)
 # after its imports and at its end. The peak has to come from the child's own
@@ -168,6 +167,7 @@ class Bench:
         self.problems: list[str] = []
         self.attempted = 0
         self.tracer = None
+        self.peak_rss: dict[str, float] = {}
 
     # --- one round --------------------------------------------------------
 
@@ -199,7 +199,11 @@ class Bench:
                 for name, seconds in self.latency_loop(model, out / "latency_out").items():
                     latency.setdefault(name, []).append(seconds)
                 continue
-            times[step].append(run_command(argv[step]))
+            if index == 0 and step in ("train", "enhance"):
+                # Alone in a child process, whose peak RSS is the memory metric.
+                self.peak_rss[step] = peak_rss_mb(argv[step])
+            else:
+                times[step].append(run_command(argv[step]))
             if index == 0 and step == "prepare":
                 self.rows = checks.read_manifest(corpus / "manifest.tsv")
                 self.test_rows = [r for r in self.rows if r["split"] == "test"]
@@ -234,16 +238,9 @@ class Bench:
     # --- the whole run ----------------------------------------------------
 
     def run(self) -> dict:
-        synth_times, digests = [], []
-        for i in range(SYNTH_REPEATS):
-            start = time.perf_counter()
-            dirs = workloads.write_inputs(self.workload, self.seed, self.work / f"inputs{i}")
-            synth_times.append(time.perf_counter() - start)
-            digests.append(checks.digest_tree(self.work / f"inputs{i}"))
-            if i == 0:
-                self.inputs = dirs
-        if any(d != digests[0] for d in digests):
-            self.problems.append("the same seed wrote different inputs")
+        synth_start = time.perf_counter()
+        self.inputs = workloads.write_inputs(self.workload, self.seed, self.work / "inputs")
+        synth_s = time.perf_counter() - synth_start
         self.clean_names = sorted(p.name for p in self.inputs["clean"].glob("*.wav"))
         self.latency_inputs = sorted(self.inputs["latency_in"].glob("*.wav"))
         lengths = {p.name: checks.wav_length(p) for p in self.inputs["clean"].glob("*.wav")}
@@ -252,14 +249,14 @@ class Bench:
         warm_start = time.perf_counter()
         self.round(0)
         warm_s = time.perf_counter() - warm_start
-        setup_s = (IMPORTED - START) + statistics.median(synth_times) + warm_s
+        setup_s = (IMPORTED - START) + synth_s + warm_s
         reference = checks.digest_tree(self.out)
 
         if self.trace:
             self.tracer = tracing.Tracer(ignore_dirs=(self.inputs["clean"], self.inputs["noise"]))
             self.tracer.install()
         passes = {c: [] for c in COMMANDS}
-        best_latency: dict[str, float] = {}
+        latency_passes: dict[str, list[float]] = {}
         try:
             for index in range(1, self.workload.timed_rounds(self.seconds) + 1):
                 if self.tracer:
@@ -269,7 +266,7 @@ class Bench:
                 for command, seconds in times.items():
                     passes[command].extend(seconds)
                 for name, seconds in latency.items():
-                    best_latency[name] = min(*seconds, best_latency.get(name, np.inf))
+                    latency_passes.setdefault(name, []).extend(seconds)
                 if checks.digest_tree(self.out) != reference:
                     self.problems.append(f"round {index} did not reproduce the warm-up's files")
                 self.problems += checks.check_rewritten(self.out, started, keep={"enh_in"})
@@ -277,26 +274,28 @@ class Bench:
             if self.tracer:
                 self.tracer.uninstall()
 
-        after_start = time.perf_counter()
+        checks_start = time.perf_counter()
         self.check_outputs()
-        checks_s = time.perf_counter() - after_start
-        rss = self.peak_memory()
-        after = {"checks_s": checks_s, "memory_s": time.perf_counter() - after_start - checks_s}
+        checks_s = time.perf_counter() - checks_start
         train_frames = sum(checks.frame_count(lengths[r["clean"].name]) for r in self.rows if r["split"] == "train")
         mixture_audio = sum(lengths[r["clean"].name] for r in self.rows) / workloads.SAMPLE_RATE
         test_audio = sum(lengths[r["clean"].name] for r in self.test_rows) / workloads.SAMPLE_RATE
-        latency_ms = 1000.0 * np.array(sorted(best_latency.values()))
+        # Medians, not the fastest pass: the fastest lands on whatever brief
+        # fast stretch the machine had, and over ten runs it spread about
+        # twice as far from run to run as the median pass did.
+        typical = {c: statistics.median(passes[c]) for c in COMMANDS}
+        latency_ms = 1000.0 * np.array(sorted(statistics.median(v) for v in latency_passes.values()))
         values = {
             "setup_s": setup_s,
-            "prepare.speed_xrt": mixture_audio / min(passes["prepare"]),
-            "train.frames_per_s": train_frames * self.config.epochs / min(passes["train"]),
-            "train.peak_rss_mb": rss["train"],
-            "enhance.speed_xrt": test_audio / min(passes["enhance"]),
+            "prepare.speed_xrt": mixture_audio / typical["prepare"],
+            "train.frames_per_s": train_frames * self.config.epochs / typical["train"],
+            "train.peak_rss_mb": self.peak_rss["train"],
+            "enhance.speed_xrt": test_audio / typical["enhance"],
             "enhance.latency_p50_ms": float(np.percentile(latency_ms, 50)),
             "enhance.latency_p90_ms": float(np.percentile(latency_ms, 90)),
-            "enhance.peak_rss_mb": rss["enhance"],
-            "evaluate.speed_xrt": test_audio / min(passes["evaluate"]),
-            "profile.speed_xrt": test_audio / min(passes["profile"]),
+            "enhance.peak_rss_mb": self.peak_rss["enhance"],
+            "evaluate.speed_xrt": test_audio / typical["evaluate"],
+            "profile.speed_xrt": test_audio / typical["profile"],
         }
         record = {
             "workload": self.workload.name,
@@ -304,8 +303,8 @@ class Bench:
             "seconds": self.seconds,
             "trace": self.trace,
             "environment": environment(),
-            "setup": {"import_s": IMPORTED - START, "synth_s": synth_times, "warmup_s": warm_s},
-            "after": after,
+            "setup": {"import_s": IMPORTED - START, "synth_s": synth_s, "warmup_s": warm_s},
+            "checks_s": checks_s,
             "passes_s": passes,
             "latency_ms": latency_ms.tolist(),
             "sizes": {
@@ -372,20 +371,6 @@ class Bench:
         p += checks.check_same_bytes(
             out / "enh", sample_out, [f"{n}.wav" for n in names] + [f"{n}.diag.txt" for n in names]
         )
-
-    def peak_memory(self) -> dict[str, float]:
-        """Train and enhance again, each alone in a child process; peak RSS in MiB."""
-        out, cfg = self.out, ["--config", self.cfg, "--jobs", "1"]
-        model, enhanced = self.work / "rss_model.sjnn", self.work / "rss_enh"
-        rss = {
-            "train": peak_rss_mb(["train", *cfg, str(out / "corpus"), str(model)]),
-            "enhance": peak_rss_mb(["enhance", *cfg, str(out / "model.sjnn"), str(out / "enh_in"), str(enhanced)]),
-        }
-        self.attempted += self.config.epochs + len(self.test_rows)
-        if model.read_bytes() != (out / "model.sjnn").read_bytes():
-            self.problems.append("the checkpoint trained in the child process differs from the rounds'")
-        self.problems += checks.check_same_bytes(out / "enh", enhanced, sorted(x.name for x in (out / "enh").iterdir()))
-        return rss
 
 
 def parse_args(argv):

@@ -8,10 +8,12 @@ names looked up at call time (``network._forward``,
 under ``src/`` changes; ``uninstall`` puts every original back.
 
 Each call makes a span: name, start, end, parent and the utterance it served.
+A generator's work runs when it is iterated, so it gets one span per item.
 Spans stay in memory and are written out once, when the run ends.
 """
 
 import contextlib
+import inspect
 import json
 import statistics
 import sys
@@ -233,35 +235,54 @@ class Tracer:
         return path.name.split(".", 1)[0]
 
     def _wrap(self, fn, probe: Probe):
-        def wrapper(*args, **kwargs):
-            if self._absorbing:
-                return fn(*args, **kwargs)
-            if probe.path_arg:
-                utt = self._utterance_of(args[0])
-                if utt is not None:
-                    if self._group_utt.get(self._group, utt) != utt:
-                        self._group += 1
-                    self._group_utt[self._group] = utt
-            span = Span(probe.span, 0.0, 0.0, self._stack[-1] if self._stack else -1,
-                        self.round, self._group)
-            self._stack.append(len(self.spans))
-            self.spans.append(span)
-            self._absorbing += probe.absorbs
-            start = time.perf_counter()
-            try:
-                result = fn(*args, **kwargs)
-            finally:
-                span.start, span.end = start, time.perf_counter()
-                self._absorbing -= probe.absorbs
-                self._stack.pop()
-            if probe.counts is not None:
-                span.counts = probe.counts(args, kwargs, result)
-            if probe.ends_utterance:
-                self._group += 1
-            return result
+        if inspect.isgeneratorfunction(fn):
+            # Creating a generator runs none of its body: time each next(),
+            # so that the work lands in one span per item, under whatever
+            # span is open when the caller asks for it.
+            def wrapper(*args, **kwargs):
+                generator = fn(*args, **kwargs)
+                while True:
+                    try:
+                        item = self._call(probe, next, (generator,), {})
+                    except StopIteration:
+                        return
+                    yield item
+
+        else:
+
+            def wrapper(*args, **kwargs):
+                return self._call(probe, fn, args, kwargs)
 
         wrapper.__wrapped__ = fn
         return wrapper
+
+    def _call(self, probe: Probe, fn, args, kwargs):
+        """Call fn and record one span for the call."""
+        if self._absorbing:
+            return fn(*args, **kwargs)
+        if probe.path_arg:
+            utt = self._utterance_of(args[0])
+            if utt is not None:
+                if self._group_utt.get(self._group, utt) != utt:
+                    self._group += 1
+                self._group_utt[self._group] = utt
+        span = Span(probe.span, 0.0, 0.0, self._stack[-1] if self._stack else -1,
+                    self.round, self._group)
+        self._stack.append(len(self.spans))
+        self.spans.append(span)
+        self._absorbing += probe.absorbs
+        start = time.perf_counter()
+        try:
+            result = fn(*args, **kwargs)
+        finally:
+            span.start, span.end = start, time.perf_counter()
+            self._absorbing -= probe.absorbs
+            self._stack.pop()
+        if probe.counts is not None:
+            span.counts = probe.counts(args, kwargs, result)
+        if probe.ends_utterance:
+            self._group += 1
+        return result
 
     @contextlib.contextmanager
     def span(self, name: str):

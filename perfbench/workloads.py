@@ -25,7 +25,6 @@ HERE = Path(__file__).resolve().parent
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     config: str  # file name under perfbench/configs
     n_voices: int
     voice_seconds: tuple[float, float]  # shortest and longest clean voice
@@ -36,7 +35,7 @@ class Workload:
     round_seconds: float  # nominal length of one timed round; sets the round count
     jobs2_sample: int  # utterances re-enhanced with --jobs 2 for the determinism check
     # A timed round runs these steps in this order. Each command's passes are
-    # spread over the round so that its fastest pass samples the machine at
+    # spread over the round so that they sample the machine at
     # several moments; the warm-up round runs each step once, in pipeline order.
     schedule: tuple[str, ...] = PIPELINE
 
@@ -48,7 +47,7 @@ class Workload:
         """Round count from the run length alone, never from a measured time.
 
         A count that followed the machine's speed would make some runs take
-        the fastest of fewer passes than others.
+        the median of fewer passes than others.
         """
         return max(2, int(round(seconds / self.round_seconds)))
 
@@ -58,7 +57,6 @@ WORKLOADS = {
     for w in (
         Workload(
             name="short",
-            why="many ~1 s utterances on the 256x2 network: per-utterance I/O, DSP and call overhead dominate",
             config="short.cfg",
             n_voices=12,
             voice_seconds=(0.7, 1.3),
@@ -66,17 +64,15 @@ WORKLOADS = {
             noise_seconds=6.0,
             n_latency=100,
             latency_seconds=(0.7, 1.3),
-            round_seconds=6.0,
+            round_seconds=5.0,
             jobs2_sample=8,
             schedule=(
-                "prepare", "profile", "enhance", "evaluate", "profile", "train", "enhance",
-                "profile", "latency", "evaluate", "profile", "enhance", "evaluate", "profile",
-                "latency",
+                "prepare", "profile", "enhance", "evaluate", "train", "profile", "latency",
+                "enhance", "evaluate", "profile", "latency",
             ),
         ),
         Workload(
             name="fullscale",
-            why="1-2 s utterances on the 2500x3 full-scale network: the dense layers dominate",
             config="fullscale.cfg",
             n_voices=2,
             voice_seconds=(2.0, 2.0),
@@ -87,9 +83,9 @@ WORKLOADS = {
             round_seconds=10.0,
             jobs2_sample=2,
             schedule=(
-                "prepare", "profile", "enhance", "evaluate", "profile", "train", "prepare",
-                "profile", "evaluate", "enhance", "latency", "profile", "evaluate", "prepare",
-                "profile",
+                "prepare", "profile", "enhance", "prepare", "evaluate", "profile", "train",
+                "prepare", "profile", "prepare", "evaluate", "enhance", "prepare", "latency",
+                "profile", "evaluate", "prepare", "profile",
             ),
         ),
     )
