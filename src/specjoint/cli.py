@@ -174,7 +174,7 @@ def cmd_train(args) -> int:
             model, train_data, config.train_config(), val_data, restore_best=True, log=log.info
         )
     except TrainingDivergedError as exc:
-        history = exc.history  # type: ignore[attr-defined]
+        history = exc.history
         log.error("%s; keeping last finite parameters", exc)
         exit_code = 1
     save_model(checkpoint_path, model)
@@ -203,22 +203,34 @@ def cmd_enhance(args) -> int:
         return 1
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def process(path: Path) -> str:
+    def process(path: Path) -> str | None:
+        """Enhance one file; returns why it failed, or None."""
         noisy = read_wav(path, expected_rate=config.sample_rate)
-        result = enhance_waveform(model, noisy, config.stft_config(), bank, post)
+        try:
+            result = enhance_waveform(model, noisy, config.stft_config(), bank, post)
+        except SpecJointError as exc:
+            return f"{path}: {exc}"
         write_wav(out_dir / path.name, result.enhanced)
         write_diagnostics(out_dir / f"{path.stem}.diag.txt", result)
-        return path.name
+        return None
+
+    def report(failures) -> int:
+        failed = 0
+        for path, failure in zip(wav_paths, failures):
+            if failure is None:
+                log.info("enhanced %s", path.name)
+            else:
+                log.error("error: %s", failure)
+                failed += 1
+        return failed
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for name in pool.map(process, wav_paths):
-                log.info("enhanced %s", name)
+            failed = report(pool.map(process, wav_paths))
     else:
-        for path in wav_paths:
-            log.info("enhanced %s", process(path))
+        failed = report(map(process, wav_paths))
     _echo_config(config, out_dir)
-    return 0
+    return 1 if failed else 0
 
 
 def _split_entries(args, corpus_dir: Path):

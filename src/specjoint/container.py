@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import FormatError
 from .features import FeatureKind, FeatureMatrix
 
 MAGIC = b"SJFM"
@@ -31,14 +32,16 @@ def read_features(path: str | Path) -> FeatureMatrix:
     """Read a feature matrix written by write_features()."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated container")
+        raise FormatError(f"{path}: truncated container")
     magic, version, kind, n_frames, dims = _HEADER.unpack_from(raw)
     if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
+        raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
+        raise FormatError(f"{path}: unsupported container version {version}")
+    if kind not in {k.value for k in FeatureKind}:
+        raise FormatError(f"{path}: unknown feature kind {kind}")
     expected = _HEADER.size + 4 * n_frames * dims
     if len(raw) != expected:
-        raise ValueError(f"{path}: payload size {len(raw)} != expected {expected}")
+        raise FormatError(f"{path}: payload size {len(raw)} != expected {expected}")
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n_frames, dims)
     return FeatureMatrix(data.astype(np.float64), FeatureKind(kind))

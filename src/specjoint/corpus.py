@@ -124,20 +124,6 @@ class NormStats:
         return self.mean.shape[0]
 
 
-@dataclass
-class Batch:
-    """Row-aligned mini-batch: inputs plus the targets the variant trains on."""
-
-    inputs: np.ndarray
-    targets_lps: np.ndarray
-    targets_mfcc: np.ndarray | None = None
-    targets_ibm: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
-
-
 def mix_at_snr(
     clean: Waveform, noise: Waveform, snr_db: float, noise_offset: int = 0
 ) -> tuple[Waveform, Waveform]:
@@ -174,6 +160,30 @@ def estimate_noise_aware_vector(features, k: int = DEFAULT_NOISE_AWARE_FRAMES) -
     return data[:k].mean(axis=0)
 
 
+class _StreamingStats:
+    """Sum-based global mean/variance accumulator over blocks of frames."""
+
+    def __init__(self):
+        self.count = 0
+        self.total = None
+        self.total_sq = None
+
+    def add(self, data: np.ndarray) -> None:
+        if self.total is None:
+            self.total = np.zeros(data.shape[1])
+            self.total_sq = np.zeros(data.shape[1])
+        self.count += data.shape[0]
+        self.total += data.sum(axis=0)
+        self.total_sq += (data**2).sum(axis=0)
+
+    def finish(self) -> NormStats:
+        if self.count < 2:
+            raise ValueError(f"need at least 2 frames to fit statistics, got {self.count}")
+        mean = self.total / self.count
+        variance = np.maximum(self.total_sq / self.count - mean**2, VARIANCE_FLOOR)
+        return NormStats(mean, variance)
+
+
 def fit_norm_stats(features: Iterable) -> NormStats:
     """Single-pass global mean/variance over all frames of all utterances.
 
@@ -181,22 +191,10 @@ def fit_norm_stats(features: Iterable) -> NormStats:
     accumulation is sum-based, so the result does not depend on how the
     frames are chunked into utterances.
     """
-    count = 0
-    total = None
-    total_sq = None
+    acc = _StreamingStats()
     for item in features:
-        data = item.data if isinstance(item, FeatureMatrix) else np.asarray(item, dtype=np.float64)
-        if total is None:
-            total = np.zeros(data.shape[1])
-            total_sq = np.zeros(data.shape[1])
-        count += data.shape[0]
-        total += data.sum(axis=0)
-        total_sq += (data**2).sum(axis=0)
-    if count < 2:
-        raise ValueError(f"need at least 2 frames to fit statistics, got {count}")
-    mean = total / count
-    variance = np.maximum(total_sq / count - mean**2, VARIANCE_FLOOR)
-    return NormStats(mean, variance)
+        acc.add(item.data if isinstance(item, FeatureMatrix) else np.asarray(item, dtype=np.float64))
+    return acc.finish()
 
 
 def normalize(data: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -347,14 +345,14 @@ def build_corpus(
 
     splits = assign_splits(clean_paths, val_fraction, test_fraction, seed)
     rng = np.random.default_rng(seed + 1)
+    noise_lens = {path: len(read_wav(path, expected_rate=sample_rate)) for path in noise_paths}
     entries = []
     # Offsets are drawn in a fixed (sorted) order so the manifest is
     # byte-identical across runs with the same seed.
     for clean_path in sorted(clean_paths):
         for noise_path in sorted(noise_paths):
-            noise_len = len(read_wav(noise_path, expected_rate=sample_rate))
             for snr_db in snr_grid:
-                offset = int(rng.integers(0, noise_len))
+                offset = int(rng.integers(0, noise_lens[noise_path]))
                 entries.append(
                     MixSpec(clean_path, noise_path, float(snr_db), offset, splits[clean_path])
                 )
@@ -377,30 +375,6 @@ def build_corpus(
     write_norm_stats(stats_dir / "mfcc.sjfm", mfcc_sum.finish(), FeatureKind.MFCC)
     write_manifest(out_dir / MANIFEST_NAME, entries)
     return entries
-
-
-class _StreamingStats:
-    """Sum-based accumulator matching fit_norm_stats()."""
-
-    def __init__(self):
-        self.count = 0
-        self.total = None
-        self.total_sq = None
-
-    def add(self, data: np.ndarray) -> None:
-        if self.total is None:
-            self.total = np.zeros(data.shape[1])
-            self.total_sq = np.zeros(data.shape[1])
-        self.count += data.shape[0]
-        self.total += data.sum(axis=0)
-        self.total_sq += (data**2).sum(axis=0)
-
-    def finish(self) -> NormStats:
-        if self.count < 2:
-            raise ValueError("need at least 2 frames to fit statistics")
-        mean = self.total / self.count
-        variance = np.maximum(self.total_sq / self.count - mean**2, VARIANCE_FLOOR)
-        return NormStats(mean, variance)
 
 
 def read_corpus_stats(corpus_dir: str | Path) -> dict[FeatureKind, NormStats]:
@@ -437,17 +411,39 @@ def input_dim(variant: Variant, lps_dims: int, mfcc_dims: int, tau: int) -> int:
 
 @dataclass
 class TrainingData:
-    """Materialized inputs/targets for one split, ready for batching."""
+    """Row-aligned inputs and targets: a whole split, or rows taken from one."""
 
-    variant: Variant
     inputs: np.ndarray
     targets_lps: np.ndarray
-    targets_mfcc: np.ndarray | None
-    targets_ibm: np.ndarray | None
+    targets_mfcc: np.ndarray | None = None
+    targets_ibm: np.ndarray | None = None
+    variant: Variant | None = None
 
     @property
     def n_rows(self) -> int:
         return self.inputs.shape[0]
+
+    def take(self, rows) -> "TrainingData":
+        """The rows picked by an index array or a slice."""
+        return TrainingData(
+            inputs=self.inputs[rows],
+            targets_lps=self.targets_lps[rows],
+            targets_mfcc=None if self.targets_mfcc is None else self.targets_mfcc[rows],
+            targets_ibm=None if self.targets_ibm is None else self.targets_ibm[rows],
+            variant=self.variant,
+        )
+
+    def targets(self, kind: FeatureKind) -> np.ndarray:
+        """The target block a head of the given kind is trained against."""
+        if kind == FeatureKind.LPS:
+            return self.targets_lps
+        if kind == FeatureKind.MFCC:
+            if self.targets_mfcc is None:
+                raise ValueError("rows have no cepstral targets")
+            return self.targets_mfcc
+        if self.targets_ibm is None:
+            raise ValueError("rows have no mask targets")
+        return self.targets_ibm
 
 
 def load_training_data(
@@ -493,16 +489,10 @@ def load_training_data(
     )
 
 
-def assemble_batches(data: TrainingData, batch_size: int, shuffle_seed: int) -> Iterator[Batch]:
+def assemble_batches(data: TrainingData, batch_size: int, shuffle_seed: int) -> Iterator[TrainingData]:
     """Yield shuffled mini-batches; deterministic order for a fixed seed."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng(shuffle_seed).permutation(data.n_rows)
     for start in range(0, data.n_rows, batch_size):
-        rows = order[start : start + batch_size]
-        yield Batch(
-            inputs=data.inputs[rows],
-            targets_lps=data.targets_lps[rows],
-            targets_mfcc=None if data.targets_mfcc is None else data.targets_mfcc[rows],
-            targets_ibm=None if data.targets_ibm is None else data.targets_ibm[rows],
-        )
+        yield data.take(order[start : start + batch_size])

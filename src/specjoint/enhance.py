@@ -23,7 +23,7 @@ from .dsp import (
     magnitude_phase,
     stft,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SpecJointError
 from .features import FeatureKind, FeatureMatrix, MelBank, lps, mfcc
 from .network import Model, predict
 
@@ -87,13 +87,20 @@ class EnhanceResult:
 
 def enhance_features(
     model: Model, noisy: Waveform, stft_config: StftConfig, bank: MelBank | None = None
-) -> tuple[FeatureMatrix, FeatureMatrix | None, Spectrogram]:
-    """Forward pass over one utterance; returns estimates plus the noisy STFT.
+) -> tuple[FeatureMatrix, FeatureMatrix | None, Spectrogram, FeatureMatrix]:
+    """Forward pass over one utterance; returns estimates plus the noisy STFT and LPS.
 
     The log-power estimate is denormalized back to its natural scale; mask
-    estimates are returned raw. The noisy spectrogram is returned so callers
-    can gate against it and reuse its phase.
+    estimates are returned raw. The noisy spectrogram and its log-power
+    spectrum are returned so callers can gate against them and reuse the phase.
+    An utterance shorter than the model's noise_aware_frames frames is rejected.
     """
+    needed = stft_config.frame_len + (model.noise_aware_frames - 1) * stft_config.hop
+    if len(noisy) < needed:
+        raise SpecJointError(
+            f"{len(noisy)} samples is too short: the model needs at least {needed} samples "
+            f"({model.noise_aware_frames} frames)"
+        )
     spec = stft(noisy, stft_config)
     noisy_lps = lps(spec)
     lps_norm = normalize(noisy_lps.data, model.stats[FeatureKind.LPS])
@@ -110,7 +117,7 @@ def enhance_features(
     mask = None
     if FeatureKind.IBM in outputs:
         mask = FeatureMatrix(outputs[FeatureKind.IBM].astype(np.float64), FeatureKind.IBM)
-    return FeatureMatrix(estimated, FeatureKind.LPS), mask, spec
+    return FeatureMatrix(estimated, FeatureKind.LPS), mask, spec, noisy_lps
 
 
 def post_process(
@@ -199,10 +206,9 @@ def enhance_waveform(
         raise ConfigError(
             f"variant {model.variant.value!r} has no mask head; disable post-processing"
         )
-    estimated, mask, spec = enhance_features(model, noisy, stft_config, bank)
+    estimated, mask, spec, noisy_lps = enhance_features(model, noisy, stft_config, bank)
     counts = None
     if post.enabled:
-        noisy_lps = lps(spec)
         final, counts = post_process(noisy_lps.data, estimated.data, mask.data, post)
         final_lps = FeatureMatrix(final, FeatureKind.LPS)
     else:

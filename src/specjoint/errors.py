@@ -25,5 +25,13 @@ class MetricError(SpecJointError, ValueError):
     """Metric is undefined for the given inputs (e.g. all-silent reference)."""
 
 
+class FormatError(SpecJointError, ValueError):
+    """A feature container or model checkpoint is truncated or malformed."""
+
+
 class TrainingDivergedError(SpecJointError, RuntimeError):
-    """Training produced a non-finite loss or gradient and was aborted."""
+    """Training produced a non-finite loss and was aborted; history holds the finished epochs."""
+
+    def __init__(self, message: str, history: list):
+        super().__init__(message)
+        self.history = history

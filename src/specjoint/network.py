@@ -10,13 +10,14 @@ accumulated in float64.
 """
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Batch, NormStats, TrainingData, Variant, assemble_batches
-from .errors import ConfigError, TrainingDivergedError
+from .corpus import NormStats, TrainingData, Variant, assemble_batches
+from .errors import ConfigError, FormatError, TrainingDivergedError
 from .features import FeatureKind
 
 CHECKPOINT_MAGIC = b"SJNN"
@@ -124,6 +125,17 @@ class LossReport:
             out["ibm"] = self.ibm
         return out
 
+    @classmethod
+    def mean(cls, weighted: Iterable[tuple["LossReport", int]]) -> "LossReport":
+        """Row-weighted mean of (report, rows) pairs, summed in the order given."""
+        totals: dict[str, float] = {}
+        rows = 0
+        for report, n in weighted:
+            for key, value in report.as_dict().items():
+                totals[key] = totals.get(key, 0.0) + value * n
+            rows += n
+        return cls(**{key: value / rows for key, value in totals.items()})
+
 
 @dataclass
 class EpochStats:
@@ -213,18 +225,6 @@ def predict(model: Model, inputs: np.ndarray) -> dict[FeatureKind, np.ndarray]:
     return {h.kind: outputs[:, h.offset : h.offset + h.width] for h in model.heads}
 
 
-def _head_targets(batch: Batch, kind: FeatureKind) -> np.ndarray:
-    if kind == FeatureKind.LPS:
-        return batch.targets_lps
-    if kind == FeatureKind.MFCC:
-        if batch.targets_mfcc is None:
-            raise ValueError("batch has no cepstral targets")
-        return batch.targets_mfcc
-    if batch.targets_ibm is None:
-        raise ValueError("batch has no mask targets")
-    return batch.targets_ibm
-
-
 def _head_weight(kind: FeatureKind, alpha: float, beta: float) -> float:
     if kind == FeatureKind.LPS:
         return 1.0
@@ -234,7 +234,7 @@ def _head_weight(kind: FeatureKind, alpha: float, beta: float) -> float:
 
 
 def loss_and_output_grad(
-    model: Model, outputs: np.ndarray, batch: Batch, alpha: float, beta: float
+    model: Model, outputs: np.ndarray, batch: TrainingData, alpha: float, beta: float
 ) -> tuple[LossReport, np.ndarray]:
     """Multi-objective loss and its gradient with respect to the outputs.
 
@@ -247,7 +247,7 @@ def loss_and_output_grad(
     grad = np.zeros_like(outputs)
     for spec in model.heads:
         pred = outputs[:, spec.offset : spec.offset + spec.width]
-        target = _head_targets(batch, spec.kind)
+        target = batch.targets(spec.kind)
         diff64 = pred.astype(np.float64) - target.astype(np.float64)
         if spec.kind == FeatureKind.IBM:
             denom = np.ones((n, 1))
@@ -296,7 +296,7 @@ def backward(
     return grad_w, grad_b
 
 
-def batch_loss(model: Model, batch: Batch, alpha: float, beta: float) -> LossReport:
+def batch_loss(model: Model, batch: TrainingData, alpha: float, beta: float) -> LossReport:
     """Loss on a batch without dropout; used for validation."""
     cache = _forward(model, batch.inputs)
     report, _ = loss_and_output_grad(model, cache.outputs, batch, alpha, beta)
@@ -337,26 +337,8 @@ def _dataset_loss(
     model: Model, data: TrainingData, alpha: float, beta: float, chunk: int = 4096
 ) -> LossReport:
     """Average loss over a whole split, computed in bounded-size chunks."""
-    totals: dict[str, float] = {}
-    rows = 0
-    for start in range(0, data.n_rows, chunk):
-        batch = Batch(
-            inputs=data.inputs[start : start + chunk],
-            targets_lps=data.targets_lps[start : start + chunk],
-            targets_mfcc=None if data.targets_mfcc is None else data.targets_mfcc[start : start + chunk],
-            targets_ibm=None if data.targets_ibm is None else data.targets_ibm[start : start + chunk],
-        )
-        report = batch_loss(model, batch, alpha, beta)
-        for key, value in report.as_dict().items():
-            totals[key] = totals.get(key, 0.0) + value * batch.size
-        rows += batch.size
-    averaged = {key: value / rows for key, value in totals.items()}
-    return LossReport(
-        total=averaged["total"],
-        lps=averaged["lps"],
-        mfcc=averaged.get("mfcc"),
-        ibm=averaged.get("ibm"),
-    )
+    chunks = (data.take(slice(start, start + chunk)) for start in range(0, data.n_rows, chunk))
+    return LossReport.mean((batch_loss(model, part, alpha, beta), part.n_rows) for part in chunks)
 
 
 def train(
@@ -388,8 +370,7 @@ def train(
     for epoch in range(config.epochs):
         lr = config.learning_rate_at(epoch)
         epoch_start = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
-        running: dict[str, float] = {}
-        rows = 0
+        reports: list[tuple[LossReport, int]] = []
         for batch in assemble_batches(train_data, config.batch_size, config.seed + epoch):
             cache = _forward(model, batch.inputs, config.dropout, dropout_rng)
             report, output_grad = loss_and_output_grad(
@@ -397,23 +378,13 @@ def train(
             )
             if not np.isfinite(report.total):
                 model.weights, model.biases = epoch_start
-                err = TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch + 1}; lower the learning rate"
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch + 1}; lower the learning rate", history
                 )
-                err.history = history  # type: ignore[attr-defined]
-                raise err
             grads = backward(model, cache, output_grad)
             sgd_step(model, grads, state, lr, config.momentum)
-            for key, value in report.as_dict().items():
-                running[key] = running.get(key, 0.0) + value * batch.size
-            rows += batch.size
-        averaged = {key: value / rows for key, value in running.items()}
-        train_report = LossReport(
-            total=averaged["total"],
-            lps=averaged["lps"],
-            mfcc=averaged.get("mfcc"),
-            ibm=averaged.get("ibm"),
-        )
+            reports.append((report, batch.n_rows))
+        train_report = LossReport.mean(reports)
         val_report = None
         if val_data is not None and val_data.n_rows > 0:
             val_report = _dataset_loss(model, val_data, config.alpha, config.beta)
@@ -476,7 +447,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise ValueError(f"{self.path}: checkpoint truncated")
+            raise FormatError(f"{self.path}: checkpoint truncated")
         out = self.blob[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -489,18 +460,18 @@ def load_model(path: str | Path) -> Model:
     path = Path(path)
     reader = _Reader(path.read_bytes(), path)
     if reader.take(4) != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint")
+        raise FormatError(f"{path}: not a model checkpoint")
     (version,) = reader.unpack("<I")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
     variant_code, tau, noise_aware_frames = reader.unpack("<BII")
     if variant_code not in _CODE_VARIANTS:
-        raise ValueError(f"{path}: unknown variant code {variant_code}")
+        raise FormatError(f"{path}: unknown variant code {variant_code}")
     (n_layers,) = reader.unpack("<I")
     shapes = [reader.unpack("<II") for _ in range(n_layers)]
     for (_, out_prev), (in_next, _) in zip(shapes[:-1], shapes[1:]):
         if out_prev != in_next:
-            raise ValueError(f"{path}: inconsistent layer shapes")
+            raise FormatError(f"{path}: inconsistent layer shapes")
     (n_heads,) = reader.unpack("<B")
     heads = []
     for _ in range(n_heads):
@@ -519,7 +490,7 @@ def load_model(path: str | Path) -> Model:
         weights.append(w.reshape(fan_in, fan_out))
         biases.append(np.frombuffer(reader.take(4 * fan_out), dtype="<f4").copy())
     if reader.pos != len(reader.blob):
-        raise ValueError(f"{path}: {len(reader.blob) - reader.pos} trailing bytes")
+        raise FormatError(f"{path}: {len(reader.blob) - reader.pos} trailing bytes")
     return Model(
         _CODE_VARIANTS[variant_code], tau, noise_aware_frames, weights, biases, tuple(heads), stats
     )

@@ -6,7 +6,7 @@ central finite differences) so agreement with the library is meaningful.
 
 import numpy as np
 
-from specjoint import Batch, Model, TrainingData, Variant, loss_and_output_grad
+from specjoint import Model, TrainingData, Variant, loss_and_output_grad
 from specjoint.network import _forward
 
 
@@ -38,14 +38,14 @@ def loop_post_process(
     return out
 
 
-def model_loss(model: Model, batch: Batch, alpha: float, beta: float) -> float:
+def model_loss(model: Model, batch: TrainingData, alpha: float, beta: float) -> float:
     outputs = _forward(model, batch.inputs).outputs
     report, _ = loss_and_output_grad(model, outputs, batch, alpha, beta)
     return report.total
 
 
 def fd_gradient(
-    model: Model, batch: Batch, alpha: float, beta: float, layer: int, index: tuple, h: float = 1e-5
+    model: Model, batch: TrainingData, alpha: float, beta: float, layer: int, index: tuple, h: float = 1e-5
 ) -> float:
     """Central finite difference of the total loss w.r.t. one weight."""
     w = model.weights[layer]

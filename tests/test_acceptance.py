@@ -59,7 +59,7 @@ from specjoint.corpus import (
     feature_path,
     input_dim,
 )
-from specjoint.corpus import Batch
+from specjoint.corpus import TrainingData
 from specjoint.network import _Momentum, _forward
 from specjoint.synth import harmonic_voice, white_noise, write_demo_corpus
 
@@ -211,7 +211,7 @@ def test_criterion_2_loss_arithmetic(report):
         heads=(HeadSpec(FeatureKind.LPS, 0, 2),),
         stats={},
     )
-    batch = Batch(inputs=np.zeros((1, 2)), targets_lps=np.array([[3.0, 4.0]]))
+    batch = TrainingData(inputs=np.zeros((1, 2)), targets_lps=np.array([[3.0, 4.0]]))
     zero_est, _ = loss_and_output_grad(head_only, np.zeros((1, 2)), batch, 0.1, 0.002)
     part_est, _ = loss_and_output_grad(head_only, np.array([[3.0, 0.0]]), batch, 0.1, 0.002)
     ok = abs(zero_est.lps - 1.0) <= 1e-12 and abs(part_est.lps - 0.64) <= 1e-12
@@ -265,7 +265,7 @@ def test_criterion_3_gradients_match_finite_differences(report):
             init_model(variant, 12, {}, TAU, NAF, 5, 3, hidden_units=10, hidden_layers=2, seed=5)
         )
         batch = next(assemble_batches(data, 16, shuffle_seed=0))
-        batch = Batch(
+        batch = TrainingData(
             batch.inputs.astype(np.float64),
             batch.targets_lps.astype(np.float64),
             None if batch.targets_mfcc is None else batch.targets_mfcc.astype(np.float64),
@@ -410,7 +410,7 @@ def test_criterion_8_oracle_mask_ceiling(corpus_env, models, report):
     for entry in _test_entries(entries, snr_db=20.0):
         noisy = read_wav(Path(corpus_dir) / NOISY_DIR / f"{entry.utterance_id}.wav")
         clean = read_wav(entry.clean_path)
-        estimated, _, spec = enhance_features(model, noisy, STFT_CFG, BANK)
+        estimated, _, spec, _ = enhance_features(model, noisy, STFT_CFG, BANK)
         _, phases = magnitude_phase(spec)
         raw, _ = reconstruct(estimated, phases, STFT_CFG, len(noisy), noisy.sample_rate)
         true_mask = read_features(

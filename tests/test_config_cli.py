@@ -1,3 +1,4 @@
+import logging
 import os
 import shutil
 import subprocess
@@ -13,12 +14,22 @@ from specjoint import (
     FeatureKind,
     HeadSpec,
     RunConfig,
+    Waveform,
     load_model,
     read_manifest,
     write_wav,
 )
 from specjoint.cli import main
 from specjoint.synth import harmonic_voice, white_noise
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child Python: it does not inherit pytest's sys.path, so
+    point it at the package these tests import."""
+    package_root = str(Path(specjoint.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return env
 
 
 class TestRunConfig:
@@ -280,6 +291,47 @@ class TestEnhance:
         ])
         assert code == 1
 
+    def test_short_wav_fails_only_that_file(self, env, tmp_path, caplog):
+        # 1,000 samples give 2 frames, fewer than the 6 the noise estimate needs.
+        src = tmp_path / "in"
+        voice = harmonic_voice(1.0, 16000, seed=7)
+        write_wav(src / "a.wav", voice)
+        write_wav(src / "b.wav", Waveform(voice.samples[:1000], 16000))
+        write_wav(src / "c.wav", harmonic_voice(1.0, 16000, f0=210.0, seed=8))
+        config = RunConfig.from_file(env["config"])
+        needed = config.stft_frame_len + (config.noise_aware_frames - 1) * config.stft_hop
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            caplog.clear()
+            code = main([
+                "enhance", "--config", str(env["config"]), "--jobs", jobs,
+                str(env["ckpt"]), str(src), str(out),
+            ])
+            assert code == 1
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert len(errors) == 1
+            assert str(src / "b.wav") in errors[0] and f"{needed} samples" in errors[0]
+            written.append({p.name: p.read_bytes() for p in out.glob("*.wav")})
+        assert sorted(written[0]) == ["a.wav", "c.wav"]
+        assert written[0] == written[1]
+
+    def test_truncated_checkpoint_fails_in_one_line(self, env, tmp_path):
+        blob = env["ckpt"].read_bytes()
+        cut = tmp_path / "cut.sjnn"
+        cut.write_bytes(blob[: len(blob) // 2])
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "specjoint.cli", "enhance", "--config", str(env["config"]),
+                str(cut), str(env["corpus"] / "noisy"), str(tmp_path / "o"),
+            ],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and str(cut) in lines[0], result.stderr
+
 
 class TestEvaluate:
     def test_writes_report(self, env, tmp_path):
@@ -370,17 +422,10 @@ class TestMisc:
         entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["specjoint"]
         module, attr = entry.split(":")
         wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-        # The child does not inherit pytest's sys.path; point it at this package.
-        package_root = str(Path(specjoint.__file__).resolve().parents[1])
-        child_env = dict(os.environ)
-        child_env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        )
-
         def run(*args):
             return subprocess.run(
                 [sys.executable, "-c", wrapper, *args],
-                capture_output=True, text=True, timeout=60, env=child_env,
+                capture_output=True, text=True, timeout=60, env=child_env(),
             )
 
         result = run("dump-defaults")

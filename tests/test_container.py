@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from specjoint import FeatureKind, FeatureMatrix, read_features, write_features
+from specjoint import FeatureKind, FeatureMatrix, FormatError, read_features, write_features
 
 
 @pytest.mark.parametrize("kind", list(FeatureKind))
@@ -46,7 +46,7 @@ def test_bad_magic(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="bad magic"):
+    with pytest.raises(FormatError, match="bad magic"):
         read_features(path)
 
 
@@ -56,7 +56,17 @@ def test_bad_version(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[4:8] = struct.pack("<I", 99)
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(FormatError, match="version"):
+        read_features(path)
+
+
+def test_bad_kind(tmp_path):
+    path = tmp_path / "f.sjfm"
+    write_features(path, FeatureMatrix(np.zeros((1, 1)), FeatureKind.LPS))
+    blob = bytearray(path.read_bytes())
+    blob[8] = 77
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="unknown feature kind 77"):
         read_features(path)
 
 
@@ -65,12 +75,12 @@ def test_truncated_payload(tmp_path):
     write_features(path, FeatureMatrix(np.zeros((4, 4)), FeatureKind.IBM))
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(ValueError, match="payload size"):
+    with pytest.raises(FormatError, match="payload size"):
         read_features(path)
 
 
 def test_truncated_header(tmp_path):
     path = tmp_path / "f.sjfm"
     path.write_bytes(b"SJFM\x01")
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(FormatError, match="truncated"):
         read_features(path)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from specjoint import (
-    Batch,
     ConfigError,
     FeatureKind,
     FeatureMatrix,
@@ -307,8 +306,17 @@ class TestBatches:
         )
 
     def test_partial_final_batch(self):
-        sizes = [b.size for b in assemble_batches(self.data(10), 4, shuffle_seed=0)]
+        sizes = [b.n_rows for b in assemble_batches(self.data(10), 4, shuffle_seed=0)]
         assert sizes == [4, 4, 2]
+
+    def test_take_slice_matches_indices(self):
+        data = self.data(10)
+        by_slice, by_index = data.take(slice(2, 6)), data.take(np.arange(2, 6))
+        for name in ("inputs", "targets_lps", "targets_ibm"):
+            assert np.array_equal(getattr(by_slice, name), getattr(by_index, name))
+        assert by_slice.targets_mfcc is None and by_slice.variant == Variant.IBM
+        with pytest.raises(ValueError, match="no cepstral targets"):
+            by_slice.targets(FeatureKind.MFCC)
 
     def test_rows_covered_once(self):
         batches = list(assemble_batches(self.data(10), 3, shuffle_seed=5))

@@ -6,7 +6,9 @@ import pytest
 from specjoint import (
     ConfigError,
     FeatureKind,
+    FormatError,
     HeadSpec,
+    LossReport,
     Model,
     NormStats,
     TrainConfig,
@@ -22,7 +24,7 @@ from specjoint import (
     sgd_step,
     train,
 )
-from specjoint.corpus import Batch
+from specjoint.corpus import TrainingData
 from specjoint.network import _Momentum, _forward, head_layout
 
 from oracles import as_float64, fd_gradient, model_loss, random_training_data
@@ -67,7 +69,7 @@ def linear_model(weight, heads, bias=None):
 
 
 def one_batch(data):
-    return Batch(data.inputs, data.targets_lps, data.targets_mfcc, data.targets_ibm)
+    return TrainingData(data.inputs, data.targets_lps, data.targets_mfcc, data.targets_ibm)
 
 
 class TestInit:
@@ -219,14 +221,14 @@ class TestLoss:
         heads = (HeadSpec(kind, 0, pred.shape[1]),)
         model = linear_model(np.eye(pred.shape[1]), heads)
         target = np.asarray(target, dtype=np.float64)
-        batch = Batch(
+        batch = TrainingData(
             inputs=pred,
             targets_lps=target if kind == FeatureKind.LPS else np.zeros_like(target),
             targets_ibm=target if kind == FeatureKind.IBM else None,
         )
         if kind == FeatureKind.IBM:
             model.heads = (HeadSpec(FeatureKind.LPS, 0, pred.shape[1]),)
-            batch = Batch(inputs=pred, targets_lps=target)
+            batch = TrainingData(inputs=pred, targets_lps=target)
         report, grad = loss_and_output_grad(model, pred, batch, alpha, beta)
         return report, grad
 
@@ -254,7 +256,7 @@ class TestLoss:
         model = linear_model(np.eye(4), heads)
         model.variant = Variant.IBM
         outputs = np.array([[1.0, 2.0, 0.5, 1.0]])
-        batch = Batch(
+        batch = TrainingData(
             inputs=outputs,
             targets_lps=np.array([[1.0, 2.0]]),
             targets_ibm=np.array([[0.0, 1.0]]),
@@ -269,7 +271,7 @@ class TestLoss:
         model = tiny_model(Variant.MFCC_IBM)
         outputs = np.zeros((2, model.output_dim))
         outputs[:, 8] = 1.0  # mask slice: one unit error per row
-        batch = Batch(
+        batch = TrainingData(
             inputs=np.zeros((2, INPUT_DIM)),
             targets_lps=np.tile([3.0, 4.0, 0.0, 0.0, 0.0], (2, 1)),
             targets_mfcc=np.tile([1.0, 0.0, 0.0], (2, 1)),
@@ -292,7 +294,7 @@ class TestLoss:
     def test_missing_targets_rejected(self):
         model = tiny_model(Variant.MFCC_IBM)
         outputs = np.zeros((1, model.output_dim))
-        batch = Batch(inputs=np.zeros((1, INPUT_DIM)), targets_lps=np.zeros((1, 5)))
+        batch = TrainingData(inputs=np.zeros((1, INPUT_DIM)), targets_lps=np.zeros((1, 5)))
         with pytest.raises(ValueError, match="no cepstral targets"):
             loss_and_output_grad(model, outputs, batch, 0.1, 0.002)
 
@@ -303,7 +305,7 @@ class TestBackward:
         model = as_float64(tiny_model(variant, seed=2))
         batch = one_batch(tiny_data(variant, n_rows=8, seed=2))
         inputs = batch.inputs.astype(np.float64)
-        batch = Batch(inputs, batch.targets_lps, batch.targets_mfcc, batch.targets_ibm)
+        batch = TrainingData(inputs, batch.targets_lps, batch.targets_mfcc, batch.targets_ibm)
         cache = _forward(model, inputs)
         _, output_grad = loss_and_output_grad(model, cache.outputs, batch, 0.1, 0.002)
         grad_w, _ = backward(model, cache, output_grad)
@@ -318,7 +320,7 @@ class TestBackward:
     def test_perfect_fit_has_zero_gradient(self):
         heads = (HeadSpec(FeatureKind.LPS, 0, 2),)
         model = linear_model(np.eye(2), heads)
-        batch = Batch(inputs=np.array([[1.0, 2.0]]), targets_lps=np.array([[1.0, 2.0]]))
+        batch = TrainingData(inputs=np.array([[1.0, 2.0]]), targets_lps=np.array([[1.0, 2.0]]))
         cache = _forward(model, batch.inputs)
         _, output_grad = loss_and_output_grad(model, cache.outputs, batch, 0.1, 0.002)
         grad_w, grad_b = backward(model, cache, output_grad)
@@ -508,7 +510,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"JUNK"
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="not a model checkpoint"):
+        with pytest.raises(FormatError, match="not a model checkpoint"):
             load_model(path)
 
     def test_rejects_wrong_version(self, tmp_path):
@@ -516,7 +518,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[4:8] = struct.pack("<I", 9)
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        with pytest.raises(FormatError, match="unsupported checkpoint version"):
             load_model(path)
 
     def test_rejects_unknown_variant_code(self, tmp_path):
@@ -524,7 +526,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[8] = 200
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="unknown variant code"):
+        with pytest.raises(FormatError, match="unknown variant code"):
             load_model(path)
 
     def test_rejects_inconsistent_shapes(self, tmp_path):
@@ -535,21 +537,31 @@ class TestCheckpoint:
         (fan_in,) = struct.unpack_from("<I", blob, offset)
         struct.pack_into("<I", blob, offset, fan_in + 1)
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="inconsistent layer shapes"):
+        with pytest.raises(FormatError, match="inconsistent layer shapes"):
             load_model(path)
 
     def test_rejects_truncation(self, tmp_path):
         path = self.saved(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])
-        with pytest.raises(ValueError, match="checkpoint truncated"):
+        with pytest.raises(FormatError, match="checkpoint truncated"):
             load_model(path)
 
     def test_rejects_trailing_bytes(self, tmp_path):
         path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
-        with pytest.raises(ValueError, match="2 trailing bytes"):
+        with pytest.raises(FormatError, match="2 trailing bytes"):
             load_model(path)
+
+
+class TestLossMean:
+    def test_weights_by_rows(self):
+        reports = [
+            (LossReport(total=1.0, lps=1.0, ibm=4.0), 1),
+            (LossReport(total=4.0, lps=2.0, ibm=1.0), 3),
+        ]
+        mean = LossReport.mean(reports)
+        assert mean == LossReport(total=13.0 / 4, lps=7.0 / 4, mfcc=None, ibm=7.0 / 4)
 
 
 class TestBatchLoss:
