@@ -8,6 +8,7 @@ across reruns.
 """
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -61,6 +62,17 @@ def _echo_config(config: RunConfig, out_dir: Path) -> None:
 
 def _wav_list(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.wav"))
+
+
+@contextlib.contextmanager
+def _per_file_map(jobs: int):
+    """Yield a map that keeps input order: the builtin for one job, so the
+    work stays in this thread, else a pool of that many threads."""
+    if jobs <= 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
 
 
 def cmd_prepare(args) -> int:
@@ -205,8 +217,8 @@ def cmd_enhance(args) -> int:
 
     def process(path: Path) -> str | None:
         """Enhance one file; returns why it failed, or None."""
-        noisy = read_wav(path, expected_rate=config.sample_rate)
         try:
+            noisy = read_wav(path, expected_rate=config.sample_rate)
             result = enhance_waveform(model, noisy, config.stft_config(), bank, post)
         except SpecJointError as exc:
             return f"{path}: {exc}"
@@ -214,21 +226,14 @@ def cmd_enhance(args) -> int:
         write_diagnostics(out_dir / f"{path.stem}.diag.txt", result)
         return None
 
-    def report(failures) -> int:
-        failed = 0
-        for path, failure in zip(wav_paths, failures):
+    failed = 0
+    with _per_file_map(args.jobs) as map_fn:
+        for path, failure in zip(wav_paths, map_fn(process, wav_paths)):
             if failure is None:
                 log.info("enhanced %s", path.name)
             else:
                 log.error("error: %s", failure)
                 failed += 1
-        return failed
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            failed = report(pool.map(process, wav_paths))
-    else:
-        failed = report(map(process, wav_paths))
     _echo_config(config, out_dir)
     return 1 if failed else 0
 
@@ -241,48 +246,48 @@ def _split_entries(args, corpus_dir: Path):
     return selected
 
 
+def _report_missing(missing: list[str]) -> int:
+    for utterance_id in missing:
+        log.error("missing enhanced file for %s", utterance_id)
+    return 1 if missing else 0
+
+
 def cmd_evaluate(args) -> int:
+    config = _load_config(args)
     entries = _split_entries(args, Path(args.corpus_dir))
-    report = metrics_mod.evaluate_condition(entries, args.enhanced_dir)
+    with _per_file_map(args.jobs) as map_fn:
+        report = metrics_mod.evaluate_condition(entries, args.enhanced_dir, config.sample_rate, map_fn)
     Path(args.out_csv).write_text(metrics_mod.report_csv(report), encoding="utf-8")
     log.info(
         "ssnr %.3f dB, stoi %.4f over %d utterances", report.ssnr_db, report.stoi, report.n_utterances
     )
-    if not report.complete:
-        for utterance_id in report.missing:
-            log.error("missing enhanced file for %s", utterance_id)
-        return 1
-    return 0
+    return _report_missing(report.missing)
 
 
 def cmd_distortion(args) -> int:
     config = _load_config(args)
     entries = _split_entries(args, Path(args.corpus_dir))
-    enhanced_dir = Path(args.enhanced_dir)
-    profile = None
-    missing = []
-    for entry in sorted(entries, key=lambda e: e.utterance_id):
-        enhanced_path = enhanced_dir / f"{entry.utterance_id}.wav"
-        if not enhanced_path.exists():
-            missing.append(entry.utterance_id)
-            continue
-        clean = read_wav(entry.clean_path, expected_rate=config.sample_rate)
-        enhanced = read_wav(enhanced_path, expected_rate=config.sample_rate)
-        clean_lps = lps(stft(clean, config.stft_config()))
-        estimated_lps = lps(stft(enhanced, config.stft_config()))
-        profile = metrics_mod.distortion_profile(clean_lps, estimated_lps, profile)
-    if profile is None:
+    stft_config = config.stft_config()
+
+    def profile_of(clean, enhanced):
+        clean_lps, enhanced_lps = lps(stft(clean, stft_config)), lps(stft(enhanced, stft_config))
+        return metrics_mod.distortion_profile(clean_lps, enhanced_lps)
+
+    with _per_file_map(args.jobs) as map_fn:
+        scored, missing = metrics_mod.score_pairs(
+            entries, args.enhanced_dir, profile_of, config.sample_rate, map_fn
+        )
+    if not scored:
         log.error("no enhanced files found for split %r", args.split)
         return 1
+    profile = metrics_mod.DistortionProfile.empty(config.lps_dims)
+    for _, utterance_profile in scored:
+        profile = profile.merge(utterance_profile)
     Path(args.out_csv).write_text(
         metrics_mod.profile_csv(profile, config.sample_rate, config.stft_fft_size),
         encoding="utf-8",
     )
-    if missing:
-        for utterance_id in missing:
-            log.error("missing enhanced file for %s", utterance_id)
-        return 1
-    return 0
+    return _report_missing(missing)
 
 
 def cmd_dump_defaults(args) -> int:

@@ -1,15 +1,16 @@
 """Run configuration: a flat key=value file mirroring every tunable.
 
-One schema drives parsing, validation, and default dumping, so the set of
-recognized keys, their types, and their defaults cannot drift apart.
-Unknown keys are rejected rather than ignored.
+Each field of RunConfig carries its file key; the field's type picks the
+parser and formatter. Parsing, validation and default dumping all read that
+one schema, so the set of recognized keys, their types and their defaults
+cannot drift apart. Unknown keys are rejected rather than ignored.
 """
 
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import DEFAULT_NOISE_AWARE_FRAMES, DEFAULT_SNR_GRID, Variant
+from .corpus import DEFAULT_NOISE_AWARE_FRAMES, DEFAULT_SNR_GRID
 from .dsp import (
     DEFAULT_FFT_SIZE,
     DEFAULT_FRAME_LEN,
@@ -31,6 +32,11 @@ from .features import (
 from .network import TrainConfig
 
 
+def _key(key: str, default):
+    """A RunConfig field read from and dumped under `key` in the file."""
+    return dataclasses.field(default=default, metadata={"key": key})
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("on", "true", "yes", "1"):
@@ -50,41 +56,57 @@ def _format_bool(value: bool) -> str:
     return "on" if value else "off"
 
 
+def _format_float(value: float) -> str:
+    """Short form when it reads back as the same float, else the exact repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def _format_floats(value: tuple[float, ...]) -> str:
-    return ",".join(f"{v:g}" for v in value)
+    return ",".join(_format_float(v) for v in value)
+
+
+# field type -> (parser, formatter)
+_CODECS = {
+    int: (int, str),
+    float: (float, _format_float),
+    str: (str, str),
+    bool: (_parse_bool, _format_bool),
+    tuple[float, ...]: (_parse_floats, _format_floats),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    sample_rate: int = DEFAULT_SAMPLE_RATE
-    stft_frame_len: int = DEFAULT_FRAME_LEN
-    stft_hop: int = DEFAULT_HOP
-    stft_fft_size: int = DEFAULT_FFT_SIZE
-    stft_window: str = "hann"
-    mel_filters: int = DEFAULT_N_MELS
-    mel_f_low: float = DEFAULT_F_LOW
-    mel_f_high: float = DEFAULT_F_HIGH
-    ibm_threshold_db: float = 0.0
-    context_tau: int = DEFAULT_CONTEXT
-    noise_aware_frames: int = DEFAULT_NOISE_AWARE_FRAMES
-    snr_grid: tuple[float, ...] = DEFAULT_SNR_GRID
-    val_fraction: float = 0.1
-    test_fraction: float = 0.2
-    variant: str = "baseline"
-    epochs: int = 30
-    batch_size: int = 128
-    learning_rate: float = 0.001
-    lr_final_fraction: float = 0.1
-    momentum: float = 0.9
-    dropout: float = 0.1
-    alpha: float = 0.1
-    beta: float = 0.002
-    hidden_units: int = 256
-    hidden_layers: int = 2
-    post_gamma: float = DEFAULT_GAMMA
-    post_epsilon: float = DEFAULT_EPSILON
-    post_enabled: bool = True
-    seed: int = 0
+    sample_rate: int = _key("sample_rate", DEFAULT_SAMPLE_RATE)
+    stft_frame_len: int = _key("stft.frame_len", DEFAULT_FRAME_LEN)
+    stft_hop: int = _key("stft.hop", DEFAULT_HOP)
+    stft_fft_size: int = _key("stft.fft_size", DEFAULT_FFT_SIZE)
+    stft_window: str = _key("stft.window", "hann")
+    mel_filters: int = _key("mel.filters", DEFAULT_N_MELS)
+    mel_f_low: float = _key("mel.f_low", DEFAULT_F_LOW)
+    mel_f_high: float = _key("mel.f_high", DEFAULT_F_HIGH)
+    ibm_threshold_db: float = _key("ibm.threshold_db", 0.0)
+    context_tau: int = _key("context.tau", DEFAULT_CONTEXT)
+    noise_aware_frames: int = _key("noise_aware.frames", DEFAULT_NOISE_AWARE_FRAMES)
+    snr_grid: tuple[float, ...] = _key("snr.grid", DEFAULT_SNR_GRID)
+    val_fraction: float = _key("split.val_fraction", 0.1)
+    test_fraction: float = _key("split.test_fraction", 0.2)
+    variant: str = _key("train.variant", "baseline")
+    epochs: int = _key("train.epochs", 30)
+    batch_size: int = _key("train.batch_size", 128)
+    learning_rate: float = _key("train.learning_rate", 0.001)
+    lr_final_fraction: float = _key("train.lr_final_fraction", 0.1)
+    momentum: float = _key("train.momentum", 0.9)
+    dropout: float = _key("train.dropout", 0.1)
+    alpha: float = _key("train.alpha", 0.1)
+    beta: float = _key("train.beta", 0.002)
+    hidden_units: int = _key("train.hidden_units", 256)
+    hidden_layers: int = _key("train.hidden_layers", 2)
+    post_gamma: float = _key("post.gamma", DEFAULT_GAMMA)
+    post_epsilon: float = _key("post.epsilon", DEFAULT_EPSILON)
+    post_enabled: bool = _key("post.enabled", True)
+    seed: int = _key("seed", 0)
 
     # --- derived builders -------------------------------------------------
 
@@ -109,22 +131,11 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            lr_final_fraction=self.lr_final_fraction,
-            momentum=self.momentum,
-            dropout=self.dropout,
-            alpha=self.alpha,
-            beta=self.beta,
-            seed=self.seed,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)}
         )
 
     def post_config(self) -> PostProcessConfig:
         return PostProcessConfig(self.post_gamma, self.post_epsilon, self.post_enabled)
-
-    def parsed_variant(self) -> Variant:
-        return Variant.parse(self.variant)
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
@@ -166,35 +177,7 @@ class RunConfig:
         return cls.from_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
-# key -> (attribute, parser, formatter)
+# file key -> (attribute, parser, formatter), in field order
 _SCHEMA: dict[str, tuple[str, object, object]] = {
-    "sample_rate": ("sample_rate", int, str),
-    "stft.frame_len": ("stft_frame_len", int, str),
-    "stft.hop": ("stft_hop", int, str),
-    "stft.fft_size": ("stft_fft_size", int, str),
-    "stft.window": ("stft_window", str, str),
-    "mel.filters": ("mel_filters", int, str),
-    "mel.f_low": ("mel_f_low", float, lambda v: f"{v:g}"),
-    "mel.f_high": ("mel_f_high", float, lambda v: f"{v:g}"),
-    "ibm.threshold_db": ("ibm_threshold_db", float, lambda v: f"{v:g}"),
-    "context.tau": ("context_tau", int, str),
-    "noise_aware.frames": ("noise_aware_frames", int, str),
-    "snr.grid": ("snr_grid", _parse_floats, _format_floats),
-    "split.val_fraction": ("val_fraction", float, lambda v: f"{v:g}"),
-    "split.test_fraction": ("test_fraction", float, lambda v: f"{v:g}"),
-    "train.variant": ("variant", str, str),
-    "train.epochs": ("epochs", int, str),
-    "train.batch_size": ("batch_size", int, str),
-    "train.learning_rate": ("learning_rate", float, lambda v: f"{v:g}"),
-    "train.lr_final_fraction": ("lr_final_fraction", float, lambda v: f"{v:g}"),
-    "train.momentum": ("momentum", float, lambda v: f"{v:g}"),
-    "train.dropout": ("dropout", float, lambda v: f"{v:g}"),
-    "train.alpha": ("alpha", float, lambda v: f"{v:g}"),
-    "train.beta": ("beta", float, lambda v: f"{v:g}"),
-    "train.hidden_units": ("hidden_units", int, str),
-    "train.hidden_layers": ("hidden_layers", int, str),
-    "post.gamma": ("post_gamma", float, lambda v: f"{v:g}"),
-    "post.epsilon": ("post_epsilon", float, lambda v: f"{v:g}"),
-    "post.enabled": ("post_enabled", _parse_bool, _format_bool),
-    "seed": ("seed", int, str),
+    f.metadata["key"]: (f.name, *_CODECS[f.type]) for f in dataclasses.fields(RunConfig)
 }

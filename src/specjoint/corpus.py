@@ -15,7 +15,7 @@ import numpy as np
 
 from . import container
 from .dsp import Spectrogram, StftConfig, Waveform, stft
-from .errors import ConfigError, ScalingError
+from .errors import ConfigError, FormatError, ScalingError
 from .features import (
     DEFAULT_CONTEXT,
     FeatureKind,
@@ -219,8 +219,11 @@ def write_norm_stats(path: str | Path, stats: NormStats, kind: FeatureKind) -> N
 def read_norm_stats(path: str | Path) -> NormStats:
     rows = container.read_features(path)
     if rows.n_frames != 2:
-        raise ValueError(f"{path}: stats container must have exactly 2 rows, got {rows.n_frames}")
-    return NormStats(rows.data[0], rows.data[1])
+        raise FormatError(f"{path}: stats container must have exactly 2 rows, got {rows.n_frames}")
+    try:
+        return NormStats(rows.data[0], rows.data[1])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_manifest(path: str | Path, entries: Iterable[MixSpec]) -> None:
@@ -238,9 +241,12 @@ def read_manifest(path: str | Path) -> list[MixSpec]:
             continue
         fields = line.split("\t")
         if len(fields) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
+            raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
         clean, noise, snr, offset, split = fields
-        entries.append(MixSpec(Path(clean), Path(noise), float(snr), int(offset), split))
+        try:
+            entries.append(MixSpec(Path(clean), Path(noise), float(snr), int(offset), split))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return entries
 
 

@@ -2,8 +2,8 @@
 
 Three measures: segmental SNR over speech-active frames, a short-time
 intelligibility score built from one-third-octave envelope correlations,
-and a per-frequency-bin log-spectral error profile. All functions assume
-sample-aligned signals; the pipeline guarantees alignment by construction.
+and a per-frequency-bin log-spectral error profile. score_pairs is the one
+reader of clean/enhanced pairs; it cuts each pair to the shorter length.
 """
 
 import csv
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import resample_poly
 
-from .dsp import Waveform
+from .dsp import DEFAULT_SAMPLE_RATE, Waveform
 from .errors import MetricError
 from .features import FeatureMatrix
 from .wavio import read_wav
@@ -207,19 +207,13 @@ class DistortionProfile:
 
 
 def distortion_profile(
-    clean_lps: FeatureMatrix | np.ndarray,
-    estimated_lps: FeatureMatrix | np.ndarray,
-    accumulate_into: DistortionProfile | None = None,
+    clean_lps: FeatureMatrix | np.ndarray, estimated_lps: FeatureMatrix | np.ndarray
 ) -> DistortionProfile:
     clean = clean_lps.data if isinstance(clean_lps, FeatureMatrix) else np.asarray(clean_lps)
     est = estimated_lps.data if isinstance(estimated_lps, FeatureMatrix) else np.asarray(estimated_lps)
     if clean.shape != est.shape:
         raise ValueError(f"shape mismatch: clean {clean.shape}, estimated {est.shape}")
-    if accumulate_into is None:
-        accumulate_into = DistortionProfile.empty(clean.shape[1])
-    return accumulate_into.merge(
-        DistortionProfile((clean - est).sum(axis=0), clean.shape[0])
-    )
+    return DistortionProfile((clean - est).sum(axis=0), clean.shape[0])
 
 
 def profile_csv(profile: DistortionProfile, sample_rate: int, fft_size: int) -> str:
@@ -255,42 +249,58 @@ class MetricReport:
         return not self.missing
 
 
-def evaluate_condition(entries, enhanced_dir: str | Path) -> MetricReport:
-    """Score enhanced utterances named <utterance_id>.wav against their cleans.
+def score_pairs(
+    entries, enhanced_dir: str | Path, score, sample_rate: int = DEFAULT_SAMPLE_RATE, map_fn=map
+) -> tuple[list[tuple], list[str]]:
+    """Apply score(clean, enhanced) to each entry's enhanced <utterance_id>.wav.
+
+    Both WAVs are read at sample_rate and cut to the shorter length. Returns
+    (entry, score) pairs and the ids with no enhanced WAV, each in id order;
+    map_fn may run the scoring in parallel, as long as it keeps that order.
+    """
+    enhanced_dir = Path(enhanced_dir)
+    present, missing = [], []
+    for entry in sorted(entries, key=lambda e: e.utterance_id):
+        if (enhanced_dir / f"{entry.utterance_id}.wav").exists():
+            present.append(entry)
+        else:
+            missing.append(entry.utterance_id)
+
+    def read_and_score(entry):
+        clean = read_wav(entry.clean_path, expected_rate=sample_rate)
+        enhanced = read_wav(enhanced_dir / f"{entry.utterance_id}.wav", expected_rate=sample_rate)
+        clean_samples, enhanced_samples = _aligned(clean, enhanced)
+        return score(Waveform(clean_samples, sample_rate), Waveform(enhanced_samples, sample_rate))
+
+    return list(zip(present, map_fn(read_and_score, present))), missing
+
+
+def _ssnr_stoi(clean: Waveform, enhanced: Waveform) -> tuple[float, float]:
+    return ssnr(clean, enhanced), stoi(clean, enhanced)
+
+
+def _mean_stats(pairs: list[tuple[float, float]]) -> ConditionStats:
+    ssnrs, stois = zip(*pairs)
+    return ConditionStats(float(np.mean(ssnrs)), float(np.mean(stois)), len(pairs))
+
+
+def evaluate_condition(
+    entries, enhanced_dir: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE, map_fn=map
+) -> MetricReport:
+    """SSNR and STOI of each enhanced utterance, averaged per (noise, SNR) and overall.
 
     Entries with no matching enhanced file are listed as missing and left
     out of the averages. Results do not depend on entry order.
     """
-    enhanced_dir = Path(enhanced_dir)
-    per_utt: dict[tuple[str, float], list[tuple[float, float]]] = {}
-    missing = []
-    for entry in sorted(entries, key=lambda e: e.utterance_id):
-        enhanced_path = enhanced_dir / f"{entry.utterance_id}.wav"
-        if not enhanced_path.exists():
-            missing.append(entry.utterance_id)
-            continue
-        clean = read_wav(entry.clean_path)
-        enhanced = read_wav(enhanced_path, expected_rate=clean.sample_rate)
-        pair = (ssnr(clean, enhanced), stoi(clean, enhanced))
-        per_utt.setdefault((entry.noise_path.stem, entry.snr_db), []).append(pair)
-    all_pairs = [pair for pairs in per_utt.values() for pair in pairs]
-    if not all_pairs:
+    scored, missing = score_pairs(entries, enhanced_dir, _ssnr_stoi, sample_rate, map_fn)
+    if not scored:
         raise MetricError("no enhanced utterances found to evaluate")
-    per_condition = {
-        key: ConditionStats(
-            ssnr_db=float(np.mean([p[0] for p in pairs])),
-            stoi=float(np.mean([p[1] for p in pairs])),
-            n_utterances=len(pairs),
-        )
-        for key, pairs in per_utt.items()
-    }
-    return MetricReport(
-        ssnr_db=float(np.mean([p[0] for p in all_pairs])),
-        stoi=float(np.mean([p[1] for p in all_pairs])),
-        n_utterances=len(all_pairs),
-        per_condition=per_condition,
-        missing=missing,
-    )
+    per_utt: dict[tuple[str, float], list[tuple[float, float]]] = {}
+    for entry, pair in scored:
+        per_utt.setdefault((entry.noise_path.stem, entry.snr_db), []).append(pair)
+    per_condition = {key: _mean_stats(pairs) for key, pairs in per_utt.items()}
+    overall = _mean_stats([pair for pairs in per_utt.values() for pair in pairs])
+    return MetricReport(overall.ssnr_db, overall.stoi, overall.n_utterances, per_condition, missing)
 
 
 def report_csv(report: MetricReport) -> str:

@@ -472,18 +472,25 @@ def load_model(path: str | Path) -> Model:
     for (_, out_prev), (in_next, _) in zip(shapes[:-1], shapes[1:]):
         if out_prev != in_next:
             raise FormatError(f"{path}: inconsistent layer shapes")
+
+    def feature_kind(code: int) -> FeatureKind:
+        try:
+            return FeatureKind(code)
+        except ValueError:
+            raise FormatError(f"{path}: unknown feature kind {code}") from None
+
     (n_heads,) = reader.unpack("<B")
     heads = []
     for _ in range(n_heads):
         kind_code, offset, width = reader.unpack("<BII")
-        heads.append(HeadSpec(FeatureKind(kind_code), offset, width))
+        heads.append(HeadSpec(feature_kind(kind_code), offset, width))
     (n_stats,) = reader.unpack("<B")
     stats = {}
     for _ in range(n_stats):
         kind_code, dims = reader.unpack("<BI")
         mean = np.frombuffer(reader.take(8 * dims), dtype="<f8").copy()
         variance = np.frombuffer(reader.take(8 * dims), dtype="<f8").copy()
-        stats[FeatureKind(kind_code)] = NormStats(mean, variance)
+        stats[feature_kind(kind_code)] = NormStats(mean, variance)
     weights, biases = [], []
     for fan_in, fan_out in shapes:
         w = np.frombuffer(reader.take(4 * fan_in * fan_out), dtype="<f4").copy()

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import shutil
@@ -7,20 +8,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import specjoint
 from specjoint import (
     ConfigError,
     FeatureKind,
+    FeatureMatrix,
     HeadSpec,
+    MixSpec,
     RunConfig,
+    Variant,
     Waveform,
     load_model,
     read_manifest,
+    write_features,
+    write_manifest,
     write_wav,
 )
 from specjoint.cli import main
+from specjoint.dsp import WINDOW_NAMES
 from specjoint.synth import harmonic_voice, white_noise
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def child_env() -> dict[str, str]:
@@ -30,6 +42,21 @@ def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return env
+
+
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """Run the command line in a child Python, as a user would."""
+    return subprocess.run(
+        [sys.executable, "-m", "specjoint.cli", *args],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+
+
+def assert_one_line_error(result: subprocess.CompletedProcess, *names: str) -> None:
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and all(name in lines[0] for name in names), result.stderr
 
 
 class TestRunConfig:
@@ -104,10 +131,47 @@ class TestRunConfig:
         assert config.bank().filters.shape == (40, 257)
         assert config.train_config().epochs == 30
         assert config.post_config().gamma == 0.9
-        assert config.parsed_variant().value == "baseline"
 
     def test_replace(self):
         assert RunConfig().replace(seed=9).seed == 9
+
+    def test_float_echo_is_lossless(self):
+        config = RunConfig(learning_rate=0.00123456789, snr_grid=(0.1 + 0.2, 5.0))
+        text = config.dump()
+        assert "train.learning_rate = 0.00123456789\n" in text
+        assert "snr.grid = 0.30000000000000004,5\n" in text
+        assert RunConfig.from_text(text) == config
+
+    @pytest.mark.parametrize(
+        "path",
+        [REPO / "configs" / "full-scale.cfg", *sorted((REPO / "perfbench" / "configs").glob("*.cfg"))],
+        ids=lambda p: p.name,
+    )
+    def test_presets_roundtrip(self, path):
+        config = RunConfig.from_file(path)
+        assert RunConfig.from_text(config.dump()) == config
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BY_TYPE = {
+    int: st.integers(-(2**63), 2**63),
+    float: _FINITE,
+    bool: st.booleans(),
+    tuple[float, ...]: st.lists(_FINITE, min_size=1, max_size=8).map(tuple),
+}
+_BY_NAME = {
+    "stft_window": st.sampled_from(WINDOW_NAMES),
+    "variant": st.sampled_from([v.value for v in Variant]),
+}
+
+
+@given(
+    st.fixed_dictionaries(
+        {f.name: _BY_NAME.get(f.name, _BY_TYPE.get(f.type)) for f in dataclasses.fields(RunConfig)}
+    ).map(lambda values: RunConfig(**values))
+)
+def test_dump_roundtrips_any_config(config):
+    assert RunConfig.from_text(config.dump()) == config
 
 
 BASE_CONFIG = """\
@@ -246,6 +310,42 @@ class TestTrain:
             main(["train", "--variant", "bogus", str(env["corpus"]), "x.sjnn"])
 
 
+class TestMalformedCorpus:
+    """Bad corpus fields end in one error line naming the file, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "a.wav\tb.wav\t20",
+            "a.wav\tb.wav\tloud\t0\ttrain",
+            "a.wav\tb.wav\t20\tsoon\ttrain",
+            "a.wav\tb.wav\t20\t0\tdev",
+        ],
+        ids=["fields", "snr", "offset", "split"],
+    )
+    def test_manifest_line(self, env, tmp_path, line):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        manifest = corpus / "manifest.tsv"
+        rows = (env["corpus"] / "manifest.tsv").read_text().splitlines()
+        manifest.write_text("\n".join([*rows, line]) + "\n")
+        result = run_child("train", str(corpus), str(tmp_path / "m.sjnn"))
+        assert_one_line_error(result, f"{manifest}:{len(rows) + 1}: ")
+
+    @pytest.mark.parametrize(
+        "rows", [np.ones((3, 257)), np.vstack([np.zeros(257), np.zeros(257)])],
+        ids=["row-count", "variance"],
+    )
+    def test_stats_container(self, env, tmp_path, rows):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(env["corpus"] / "stats", corpus / "stats")
+        shutil.copy(env["corpus"] / "manifest.tsv", corpus)
+        stats = corpus / "stats" / "lps.sjfm"
+        write_features(stats, FeatureMatrix(rows, FeatureKind.LPS))
+        result = run_child("train", str(corpus), str(tmp_path / "m.sjnn"))
+        assert_one_line_error(result, str(stats))
+
+
 class TestEnhance:
     def test_outputs_match_inputs(self, env):
         noisy = sorted(p.name for p in (env["corpus"] / "noisy").glob("*.wav"))
@@ -320,17 +420,48 @@ class TestEnhance:
         blob = env["ckpt"].read_bytes()
         cut = tmp_path / "cut.sjnn"
         cut.write_bytes(blob[: len(blob) // 2])
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "specjoint.cli", "enhance", "--config", str(env["config"]),
-                str(cut), str(env["corpus"] / "noisy"), str(tmp_path / "o"),
-            ],
-            capture_output=True, text=True, timeout=60, env=child_env(),
+        result = run_child(
+            "enhance", "--config", str(env["config"]),
+            str(cut), str(env["corpus"] / "noisy"), str(tmp_path / "o"),
         )
-        assert result.returncode == 1
-        assert "Traceback" not in result.stderr
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and str(cut) in lines[0], result.stderr
+        assert_one_line_error(result, str(cut))
+
+    def test_unreadable_wav_fails_only_that_file(self, env, tmp_path, caplog):
+        src = tmp_path / "in"
+        write_wav(src / "a.wav", harmonic_voice(1.0, 16000, seed=7))
+        write_wav(src / "b.wav", harmonic_voice(1.0, 8000, seed=9))
+        write_wav(src / "c.wav", harmonic_voice(1.0, 16000, f0=210.0, seed=8))
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            caplog.clear()
+            code = main([
+                "enhance", "--config", str(env["config"]), "--jobs", jobs,
+                str(env["ckpt"]), str(src), str(out),
+            ])
+            assert code == 1
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert len(errors) == 1
+            assert str(src / "b.wav") in errors[0] and "8000 Hz" in errors[0]
+            written.append({p.name: p.read_bytes() for p in out.glob("*.wav")})
+        assert sorted(written[0]) == ["a.wav", "c.wav"]
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("byte", ["head", "stats"])
+    def test_unknown_kind_byte_fails_in_one_line(self, env, tmp_path, byte):
+        blob = bytearray(env["ckpt"].read_bytes())
+        # One hidden layer gives two <II> shapes; the head count byte follows,
+        # then <BII> per head, then the stats count byte.
+        first_head = 4 + 4 + 9 + 4 + 2 * 8 + 1
+        n_heads = blob[first_head - 1]
+        blob[first_head if byte == "head" else first_head + 9 * n_heads + 1] = 9
+        bad = tmp_path / "bad.sjnn"
+        bad.write_bytes(bytes(blob))
+        result = run_child(
+            "enhance", "--config", str(env["config"]),
+            str(bad), str(env["corpus"] / "noisy"), str(tmp_path / "o"),
+        )
+        assert_one_line_error(result, str(bad), "unknown feature kind 9")
 
 
 class TestEvaluate:
@@ -368,6 +499,15 @@ class TestEvaluate:
         assert code == 1
         assert f"missing,,utterance,{stem}" in out_csv2.read_text()
 
+    def test_config_is_read(self, env, tmp_path):
+        config = tmp_path / "narrow.cfg"
+        config.write_text("sample_rate = 8000\n")
+        result = run_child(
+            "evaluate", "--config", str(config),
+            str(env["corpus"]), str(env["enhanced"]), str(tmp_path / "r.csv"),
+        )
+        assert_one_line_error(result, ".wav: sample rate 16000 Hz, expected 8000 Hz")
+
     def test_empty_split_errors(self, env, tmp_path):
         code = main([
             "evaluate", "--split", "val", str(env["corpus"]), str(env["enhanced"]),
@@ -397,6 +537,37 @@ class TestDistortionProfile:
             "distortion-profile", str(env["corpus"]), str(empty), str(tmp_path / "p.csv"),
         ])
         assert code == 1
+
+
+class TestScoringPass:
+    """evaluate and distortion-profile read clean/enhanced pairs the same way."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "distortion-profile"])
+    def test_jobs_match_serial(self, env, tmp_path, command):
+        csvs = []
+        for jobs in ("1", "2"):
+            out_csv = tmp_path / f"jobs{jobs}.csv"
+            code = main([
+                command, "--config", str(env["config"]), "--jobs", jobs,
+                str(env["corpus"]), str(env["enhanced"]), str(out_csv),
+            ])
+            assert code == 0
+            csvs.append(out_csv.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("command", ["evaluate", "distortion-profile"])
+    def test_short_enhanced_wav_is_scored(self, tmp_path, command):
+        clean_path = tmp_path / "clean" / "v.wav"
+        voice = harmonic_voice(2.0, 16000, seed=5)
+        write_wav(clean_path, voice)
+        entry = MixSpec(clean_path, Path("white.wav"), 5.0, 0, "test")
+        write_manifest(tmp_path / "manifest.tsv", [entry])
+        noisy = voice.samples + 0.05 * white_noise(2.0, 16000, seed=6).samples
+        enhanced_dir = tmp_path / "enhanced"
+        write_wav(enhanced_dir / f"{entry.utterance_id}.wav", Waveform(noisy[:-4000], 16000))
+        out_csv = tmp_path / "out.csv"
+        assert main([command, str(tmp_path), str(enhanced_dir), str(out_csv)]) == 0
+        assert len(out_csv.read_text().splitlines()) > 1
 
 
 class TestMisc:

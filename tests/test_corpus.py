@@ -7,6 +7,7 @@ from specjoint import (
     ConfigError,
     FeatureKind,
     FeatureMatrix,
+    FormatError,
     IbmConfig,
     MixSpec,
     NormStats,
@@ -187,7 +188,15 @@ class TestNormStats:
 
         path = tmp_path / "stats.sjfm"
         write_features(path, FeatureMatrix(np.ones((3, 2)), FeatureKind.LPS))
-        with pytest.raises(ValueError, match="exactly 2 rows"):
+        with pytest.raises(FormatError, match="stats.sjfm: .*exactly 2 rows"):
+            read_norm_stats(path)
+
+    def test_read_rejects_non_positive_variance(self, tmp_path):
+        from specjoint import write_features
+
+        path = tmp_path / "stats.sjfm"
+        write_features(path, FeatureMatrix(np.array([[1.0, 2.0], [1.0, 0.0]]), FeatureKind.LPS))
+        with pytest.raises(FormatError, match="stats.sjfm: variance must be strictly positive"):
             read_norm_stats(path)
 
 
@@ -219,13 +228,21 @@ class TestManifest:
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "manifest.tsv"
         path.write_text("a.wav\tb.wav\t20\n")
-        with pytest.raises(ValueError, match="manifest.tsv:1.*expected 5"):
+        with pytest.raises(FormatError, match="manifest.tsv:1.*expected 5"):
             read_manifest(path)
 
     def test_bad_split_rejected(self, tmp_path):
         path = tmp_path / "manifest.tsv"
         path.write_text("a.wav\tb.wav\t20\t0\tdev\n")
-        with pytest.raises(ValueError, match="split must be one of"):
+        with pytest.raises(FormatError, match="manifest.tsv:1: split must be one of"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("snr, offset", [("loud", "0"), ("20", "3.5"), ("nan", "0")])
+    def test_bad_number_rejected(self, tmp_path, snr, offset):
+        path = tmp_path / "manifest.tsv"
+        write_manifest(path, self.entries())
+        path.write_text(path.read_text() + f"a.wav\tb.wav\t{snr}\t{offset}\ttrain\n")
+        with pytest.raises(FormatError, match="manifest.tsv:4: "):
             read_manifest(path)
 
     def test_non_finite_snr_rejected(self):

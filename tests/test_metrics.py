@@ -115,8 +115,7 @@ class TestDistortionProfile:
         clean = rng.standard_normal((20, 4))
         est = rng.standard_normal((20, 4))
         whole = distortion_profile(clean, est)
-        running = distortion_profile(clean[:8], est[:8])
-        running = distortion_profile(clean[8:], est[8:], accumulate_into=running)
+        running = distortion_profile(clean[:8], est[:8]).merge(distortion_profile(clean[8:], est[8:]))
         assert running.n_frames == whole.n_frames
         assert running.per_bin == pytest.approx(whole.per_bin, rel=1e-12)
 

@@ -540,6 +540,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="inconsistent layer shapes"):
             load_model(path)
 
+    @pytest.mark.parametrize("byte", ["head", "stats"])
+    def test_rejects_unknown_feature_kind(self, tmp_path, byte):
+        model = tiny_model(seed=0, hidden_layers=1)
+        model.stats[FeatureKind.LPS] = NormStats(np.zeros(LPS_DIMS), np.ones(LPS_DIMS))
+        path = tmp_path / "model.sjnn"
+        save_model(path, model)
+        blob = bytearray(path.read_bytes())
+        # Two layers: the head count follows 4 + 4 + 9 + 4 + 2 * 8 bytes, and
+        # each head is <BII>; the stats count byte follows the heads.
+        first_head = 4 + 4 + 9 + 4 + 16 + 1
+        n_heads = blob[first_head - 1]
+        blob[first_head if byte == "head" else first_head + 9 * n_heads + 1] = 9
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="unknown feature kind 9"):
+            load_model(path)
+
     def test_rejects_truncation(self, tmp_path):
         path = self.saved(tmp_path)
         blob = path.read_bytes()
