@@ -90,7 +90,7 @@ def cmd_prepare(args) -> int:
         try:
             read_wav(path, expected_rate=config.sample_rate)
         except SpecJointError as exc:
-            bad.append(f"{path}: {exc}")
+            bad.append(str(exc))
     if bad:
         for line in bad:
             log.error("%s", line)
@@ -238,48 +238,47 @@ def cmd_enhance(args) -> int:
     return 1 if failed else 0
 
 
-def _split_entries(args, corpus_dir: Path):
-    entries = read_manifest(corpus_dir / corpus_mod.MANIFEST_NAME)
+def _score_split(args, config: RunConfig, score):
+    """metrics.score_pairs over the chosen split, logging each utterance
+    with no enhanced WAV and each that cannot be scored; fails when none
+    can be scored."""
+    entries = read_manifest(Path(args.corpus_dir) / corpus_mod.MANIFEST_NAME)
     selected = [e for e in entries if e.split == args.split]
     if not selected:
         raise SpecJointError(f"manifest has no {args.split!r}-split entries")
-    return selected
-
-
-def _report_missing(missing: list[str]) -> int:
+    with _per_file_map(args.jobs) as map_fn:
+        scored, missing, failed = metrics_mod.score_pairs(
+            selected, args.enhanced_dir, score, config.sample_rate, map_fn
+        )
     for utterance_id in missing:
         log.error("missing enhanced file for %s", utterance_id)
-    return 1 if missing else 0
+    for path, reason in failed:
+        log.error("error: %s: %s", path, reason)
+    if not scored:
+        raise SpecJointError(f"no enhanced utterance of split {args.split!r} could be scored")
+    return scored, missing, failed
 
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    entries = _split_entries(args, Path(args.corpus_dir))
-    with _per_file_map(args.jobs) as map_fn:
-        report = metrics_mod.evaluate_condition(entries, args.enhanced_dir, config.sample_rate, map_fn)
+    scored, missing, failed = _score_split(args, config, metrics_mod.ssnr_stoi)
+    report = metrics_mod.condition_report(scored, missing, failed)
     Path(args.out_csv).write_text(metrics_mod.report_csv(report), encoding="utf-8")
     log.info(
         "ssnr %.3f dB, stoi %.4f over %d utterances", report.ssnr_db, report.stoi, report.n_utterances
     )
-    return _report_missing(report.missing)
+    return 1 if missing or failed else 0
 
 
 def cmd_distortion(args) -> int:
     config = _load_config(args)
-    entries = _split_entries(args, Path(args.corpus_dir))
     stft_config = config.stft_config()
 
     def profile_of(clean, enhanced):
         clean_lps, enhanced_lps = lps(stft(clean, stft_config)), lps(stft(enhanced, stft_config))
         return metrics_mod.distortion_profile(clean_lps, enhanced_lps)
 
-    with _per_file_map(args.jobs) as map_fn:
-        scored, missing = metrics_mod.score_pairs(
-            entries, args.enhanced_dir, profile_of, config.sample_rate, map_fn
-        )
-    if not scored:
-        log.error("no enhanced files found for split %r", args.split)
-        return 1
+    scored, missing, failed = _score_split(args, config, profile_of)
     profile = metrics_mod.DistortionProfile.empty(config.lps_dims)
     for _, utterance_profile in scored:
         profile = profile.merge(utterance_profile)
@@ -287,7 +286,7 @@ def cmd_distortion(args) -> int:
         metrics_mod.profile_csv(profile, config.sample_rate, config.stft_fft_size),
         encoding="utf-8",
     )
-    return _report_missing(missing)
+    return 1 if missing or failed else 0
 
 
 def cmd_dump_defaults(args) -> int:

@@ -351,31 +351,27 @@ def build_corpus(
 
     splits = assign_splits(clean_paths, val_fraction, test_fraction, seed)
     rng = np.random.default_rng(seed + 1)
-    noise_lens = {path: len(read_wav(path, expected_rate=sample_rate)) for path in noise_paths}
+    noises = {path: read_wav(path, expected_rate=sample_rate) for path in sorted(noise_paths)}
     entries = []
+    lps_sum = _StreamingStats()
+    mfcc_sum = _StreamingStats()
     # Offsets are drawn in a fixed (sorted) order so the manifest is
     # byte-identical across runs with the same seed.
     for clean_path in sorted(clean_paths):
-        for noise_path in sorted(noise_paths):
+        clean = read_wav(clean_path, expected_rate=sample_rate)
+        for noise_path, noise in noises.items():
             for snr_db in snr_grid:
-                offset = int(rng.integers(0, noise_lens[noise_path]))
-                entries.append(
-                    MixSpec(clean_path, noise_path, float(snr_db), offset, splits[clean_path])
+                offset = int(rng.integers(0, len(noise)))
+                entry = MixSpec(clean_path, noise_path, float(snr_db), offset, splits[clean_path])
+                entries.append(entry)
+                mix = extract_mixture_features(
+                    clean, noise, entry.snr_db, offset, stft_config, bank, ibm_config
                 )
-
-    lps_sum = _StreamingStats()
-    mfcc_sum = _StreamingStats()
-    for entry in entries:
-        clean = read_wav(entry.clean_path, expected_rate=sample_rate)
-        noise = read_wav(entry.noise_path, expected_rate=sample_rate)
-        mix = extract_mixture_features(
-            clean, noise, entry.snr_db, entry.noise_offset, stft_config, bank, ibm_config
-        )
-        write_mixture_features(features_dir, entry.utterance_id, mix)
-        write_wav(noisy_dir / f"{entry.utterance_id}.wav", mix.noisy)
-        if entry.split == "train":
-            lps_sum.add(mix.noisy_lps.data)
-            mfcc_sum.add(mix.noisy_mfcc.data)
+                write_mixture_features(features_dir, entry.utterance_id, mix)
+                write_wav(noisy_dir / f"{entry.utterance_id}.wav", mix.noisy)
+                if entry.split == "train":
+                    lps_sum.add(mix.noisy_lps.data)
+                    mfcc_sum.add(mix.noisy_mfcc.data)
 
     write_norm_stats(stats_dir / "lps.sjfm", lps_sum.finish(), FeatureKind.LPS)
     write_norm_stats(stats_dir / "mfcc.sjfm", mfcc_sum.finish(), FeatureKind.MFCC)

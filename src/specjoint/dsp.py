@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShortSignalError
 
 DEFAULT_SAMPLE_RATE = 16000
 DEFAULT_FRAME_LEN = 512   # 32 ms at 16 kHz
@@ -118,6 +118,32 @@ def frame_count(n_samples: int, config: StftConfig) -> int:
     return 1 + (n_samples - config.frame_len) // config.hop
 
 
+def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Read-only view of rows of frame_len samples every hop samples from
+    sample 0; a trailing partial frame is dropped."""
+    if len(x) < frame_len:
+        return np.empty((0, frame_len), dtype=x.dtype)
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+
+
+def overlap_add(rows: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of the rows placed hop samples apart, as frame_signal() took them.
+
+    Row i's block k of hop samples lands in output block i + k, so adding
+    blocks from last to first adds each sample's terms in row order: the
+    bits of adding the rows one at a time.
+    """
+    n, frame_len = rows.shape
+    n_blocks = -(-frame_len // hop)
+    blocks = np.zeros((n, n_blocks * hop))
+    blocks[:, :frame_len] = rows
+    blocks = blocks.reshape(n, n_blocks, hop)
+    out = np.zeros((n + n_blocks - 1, hop))
+    for k in reversed(range(n_blocks)):
+        out[k : k + n] += blocks[:, k]
+    return out.reshape(-1)[: (n - 1) * hop + frame_len]
+
+
 def stft(waveform: Waveform, config: StftConfig | None = None) -> Spectrogram:
     """Short-time Fourier transform, one-sided bins.
 
@@ -126,14 +152,11 @@ def stft(waveform: Waveform, config: StftConfig | None = None) -> Spectrogram:
     """
     config = config or StftConfig()
     x = waveform.samples
-    n_frames = frame_count(len(x), config)
-    if n_frames == 0:
-        raise ValueError(
+    if len(x) < config.frame_len:
+        raise ShortSignalError(
             f"signal of {len(x)} samples is shorter than one frame ({config.frame_len})"
         )
-    win = config.analysis_window()
-    offsets = np.arange(n_frames) * config.hop
-    frames = x[offsets[:, None] + np.arange(config.frame_len)] * win
+    frames = frame_signal(x, config.frame_len, config.hop) * config.analysis_window()
     spec = np.fft.rfft(frames, n=config.fft_size, axis=1)
     return Spectrogram(spec, config, waveform.sample_rate)
 
@@ -149,25 +172,11 @@ def istft(spec: Spectrogram, target_len: int) -> Waveform:
     """
     config = spec.config
     win = config.analysis_window()
-    n_frames = spec.n_frames
-    total = config.frame_len + (n_frames - 1) * config.hop
-    out = np.zeros(total, dtype=np.float64)
-    norm = np.zeros(total, dtype=np.float64)
     frames = np.fft.irfft(spec.frames, n=config.fft_size, axis=1)[:, : config.frame_len]
-    frames = frames * win
-    win_sq = win * win
-    for i in range(n_frames):
-        start = i * config.hop
-        out[start : start + config.frame_len] += frames[i]
-        norm[start : start + config.frame_len] += win_sq
-    covered = norm > _COVERAGE_EPS
-    out[covered] /= norm[covered]
-    out[~covered] = 0.0
-    if target_len <= total:
-        out = out[:target_len]
-    else:
-        out = np.concatenate([out, np.zeros(target_len - total)])
-    return Waveform(out, spec.sample_rate)
+    out = overlap_add(frames * win, config.hop)
+    norm = overlap_add(np.broadcast_to(win * win, frames.shape), config.hop)
+    out = np.divide(out, norm, out=np.zeros_like(out), where=norm > _COVERAGE_EPS)
+    return Waveform(np.pad(out[:target_len], (0, max(0, target_len - len(out)))), spec.sample_rate)
 
 
 def magnitude_phase(spec: Spectrogram) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,10 @@ class ScalingError(SpecJointError, ValueError):
     """Mixing cannot scale a silent clean or noise signal."""
 
 
+class ShortSignalError(SpecJointError, ValueError):
+    """A signal is shorter than one analysis frame."""
+
+
 class MetricError(SpecJointError, ValueError):
     """Metric is undefined for the given inputs (e.g. all-silent reference)."""
 

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import resample_poly
 
-from .dsp import DEFAULT_SAMPLE_RATE, Waveform
-from .errors import MetricError
+from .dsp import DEFAULT_SAMPLE_RATE, Waveform, frame_signal, overlap_add
+from .errors import MetricError, SpecJointError
 from .features import FeatureMatrix
 from .wavio import read_wav
 
@@ -36,14 +36,6 @@ STOI_DYN_RANGE_DB = 40.0
 STOI_CLIP_DB = -15.0
 
 _EPS = np.finfo(np.float64).eps
-
-
-def _frame(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    n = 1 + (len(x) - frame_len) // hop if len(x) >= frame_len else 0
-    if n <= 0:
-        return np.empty((0, frame_len))
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n)[:, None]
-    return x[idx]
 
 
 def _aligned(reference: Waveform, test: Waveform) -> tuple[np.ndarray, np.ndarray]:
@@ -67,8 +59,8 @@ def ssnr(
     mean power of the reference. Zero error clamps at the ceiling.
     """
     ref, tst = _aligned(reference, test)
-    ref_frames = _frame(ref, frame_len, hop)
-    tst_frames = _frame(tst, frame_len, hop)
+    ref_frames = frame_signal(ref, frame_len, hop)
+    tst_frames = frame_signal(tst, frame_len, hop)
     if ref_frames.shape[0] == 0:
         raise MetricError(f"signal shorter than one frame ({frame_len} samples)")
     ref_power = np.sum(ref_frames**2, axis=1)
@@ -101,21 +93,13 @@ def _remove_silent_frames(ref: np.ndarray, tst: np.ndarray) -> tuple[np.ndarray,
     signals are rebuilt by overlap-add of the surviving frames.
     """
     win = _stoi_window()
-    ref_frames = _frame(ref, STOI_FRAME_LEN, STOI_HOP) * win
-    tst_frames = _frame(tst, STOI_FRAME_LEN, STOI_HOP) * win
+    ref_frames = frame_signal(ref, STOI_FRAME_LEN, STOI_HOP) * win
+    tst_frames = frame_signal(tst, STOI_FRAME_LEN, STOI_HOP) * win
     if ref_frames.shape[0] == 0:
         raise MetricError("signal shorter than one frame after resampling")
     energies = 20.0 * np.log10(np.linalg.norm(ref_frames, axis=1) + _EPS)
     keep = energies > np.max(energies) - STOI_DYN_RANGE_DB
-    ref_frames, tst_frames = ref_frames[keep], tst_frames[keep]
-
-    def overlap_add(frames: np.ndarray) -> np.ndarray:
-        out = np.zeros((frames.shape[0] - 1) * STOI_HOP + STOI_FRAME_LEN)
-        for i, frame in enumerate(frames):
-            out[i * STOI_HOP : i * STOI_HOP + STOI_FRAME_LEN] += frame
-        return out
-
-    return overlap_add(ref_frames), overlap_add(tst_frames)
+    return overlap_add(ref_frames[keep], STOI_HOP), overlap_add(tst_frames[keep], STOI_HOP)
 
 
 def _third_octave_bands() -> np.ndarray:
@@ -134,7 +118,7 @@ def _third_octave_bands() -> np.ndarray:
 
 def _band_envelopes(x: np.ndarray) -> np.ndarray:
     win = _stoi_window()
-    frames = _frame(x, STOI_FRAME_LEN, STOI_HOP) * win
+    frames = frame_signal(x, STOI_FRAME_LEN, STOI_HOP) * win
     power = np.abs(np.fft.rfft(frames, n=STOI_FFT_SIZE, axis=1)) ** 2
     return np.sqrt(power @ _third_octave_bands().T)
 
@@ -161,22 +145,18 @@ def stoi(reference: Waveform, test: Waveform) -> float:
             "(roughly half a second of speech)"
         )
     clip_gain = 10.0 ** (-STOI_CLIP_DB / 20.0)
-    total = 0.0
-    count = 0
-    for m in range(STOI_SEGMENT, n_frames + 1):
-        x = ref_env[m - STOI_SEGMENT : m].T
-        y = tst_env[m - STOI_SEGMENT : m].T
-        scale = np.linalg.norm(x, axis=1, keepdims=True) / (
-            np.linalg.norm(y, axis=1, keepdims=True) + _EPS
-        )
-        y = np.minimum(y * scale, x * (1.0 + clip_gain))
-        x = x - x.mean(axis=1, keepdims=True)
-        y = y - y.mean(axis=1, keepdims=True)
-        x = x / (np.linalg.norm(x, axis=1, keepdims=True) + _EPS)
-        y = y / (np.linalg.norm(y, axis=1, keepdims=True) + _EPS)
-        total += float(np.sum(x * y))
-        count += x.shape[0]
-    return total / count
+    # One (band, frame) block per 30-frame segment: segments x bands x 30.
+    x = np.lib.stride_tricks.sliding_window_view(ref_env, STOI_SEGMENT, axis=0)
+    y = np.lib.stride_tricks.sliding_window_view(tst_env, STOI_SEGMENT, axis=0)
+    scale = np.linalg.norm(x, axis=-1, keepdims=True) / (
+        np.linalg.norm(y, axis=-1, keepdims=True) + _EPS
+    )
+    y = np.minimum(y * scale, x * (1.0 + clip_gain))
+    x = x - x.mean(axis=-1, keepdims=True)
+    y = y - y.mean(axis=-1, keepdims=True)
+    x = x / (np.linalg.norm(x, axis=-1, keepdims=True) + _EPS)
+    y = y / (np.linalg.norm(y, axis=-1, keepdims=True) + _EPS)
+    return float(np.mean(np.sum(x * y, axis=-1)))
 
 
 @dataclass
@@ -243,10 +223,11 @@ class MetricReport:
     n_utterances: int
     per_condition: dict[tuple[str, float], ConditionStats] = field(default_factory=dict)
     missing: list[str] = field(default_factory=list)
+    failed: list[str] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
-        return not self.missing
+        return not self.missing and not self.failed
 
 
 def score_pairs(
@@ -255,8 +236,10 @@ def score_pairs(
     """Apply score(clean, enhanced) to each entry's enhanced <utterance_id>.wav.
 
     Both WAVs are read at sample_rate and cut to the shorter length. Returns
-    (entry, score) pairs and the ids with no enhanced WAV, each in id order;
-    map_fn may run the scoring in parallel, as long as it keeps that order.
+    (entry, score) pairs, the ids with no enhanced WAV, and (enhanced path,
+    reason) for each pair that score rejects with a SpecJointError, each in
+    id order; map_fn may run the scoring in parallel, as long as it keeps
+    that order.
     """
     enhanced_dir = Path(enhanced_dir)
     present, missing = [], []
@@ -270,12 +253,21 @@ def score_pairs(
         clean = read_wav(entry.clean_path, expected_rate=sample_rate)
         enhanced = read_wav(enhanced_dir / f"{entry.utterance_id}.wav", expected_rate=sample_rate)
         clean_samples, enhanced_samples = _aligned(clean, enhanced)
-        return score(Waveform(clean_samples, sample_rate), Waveform(enhanced_samples, sample_rate))
+        try:
+            return score(Waveform(clean_samples, sample_rate), Waveform(enhanced_samples, sample_rate))
+        except SpecJointError as exc:
+            return exc
 
-    return list(zip(present, map_fn(read_and_score, present))), missing
+    scored, failed = [], []
+    for entry, result in zip(present, map_fn(read_and_score, present)):
+        if isinstance(result, SpecJointError):
+            failed.append((enhanced_dir / f"{entry.utterance_id}.wav", str(result)))
+        else:
+            scored.append((entry, result))
+    return scored, missing, failed
 
 
-def _ssnr_stoi(clean: Waveform, enhanced: Waveform) -> tuple[float, float]:
+def ssnr_stoi(clean: Waveform, enhanced: Waveform) -> tuple[float, float]:
     return ssnr(clean, enhanced), stoi(clean, enhanced)
 
 
@@ -289,22 +281,39 @@ def evaluate_condition(
 ) -> MetricReport:
     """SSNR and STOI of each enhanced utterance, averaged per (noise, SNR) and overall.
 
-    Entries with no matching enhanced file are listed as missing and left
-    out of the averages. Results do not depend on entry order.
+    Entries with no matching enhanced file are listed as missing, and those
+    that cannot be scored as failed; both are left out of the averages.
+    Results do not depend on entry order.
     """
-    scored, missing = score_pairs(entries, enhanced_dir, _ssnr_stoi, sample_rate, map_fn)
+    scored, missing, failed = score_pairs(entries, enhanced_dir, ssnr_stoi, sample_rate, map_fn)
     if not scored:
         raise MetricError("no enhanced utterances found to evaluate")
+    return condition_report(scored, missing, failed)
+
+
+def condition_report(scored, missing: list[str], failed: list[tuple[Path, str]]) -> MetricReport:
+    """Average the (entry, (ssnr, stoi)) pairs of score_pairs per (noise, SNR) and overall."""
     per_utt: dict[tuple[str, float], list[tuple[float, float]]] = {}
     for entry, pair in scored:
         per_utt.setdefault((entry.noise_path.stem, entry.snr_db), []).append(pair)
     per_condition = {key: _mean_stats(pairs) for key, pairs in per_utt.items()}
     overall = _mean_stats([pair for pairs in per_utt.values() for pair in pairs])
-    return MetricReport(overall.ssnr_db, overall.stoi, overall.n_utterances, per_condition, missing)
+    return MetricReport(
+        overall.ssnr_db,
+        overall.stoi,
+        overall.n_utterances,
+        per_condition,
+        missing,
+        [path.stem for path, _ in failed],
+    )
 
 
 def report_csv(report: MetricReport) -> str:
-    """Rows of noise,snr_db,metric,value; the overall rows use noise=overall."""
+    """Rows of noise,snr_db,metric,value; the overall rows use noise=overall.
+
+    Ids with no enhanced file close the table as missing rows, then ids
+    that could not be scored as failed rows.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["noise", "snr_db", "metric", "value"])
@@ -316,4 +325,6 @@ def report_csv(report: MetricReport) -> str:
     writer.writerow(["overall", "", "stoi", f"{report.stoi:.4f}"])
     for utterance_id in report.missing:
         writer.writerow(["missing", "", "utterance", utterance_id])
+    for utterance_id in report.failed:
+        writer.writerow(["failed", "", "utterance", utterance_id])
     return buf.getvalue()

@@ -33,6 +33,8 @@ def read_wav(path: str | Path, expected_rate: int | None = None) -> Waveform:
             raw = handle.readframes(handle.getnframes())
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a valid PCM WAV file ({exc})") from exc
+    if len(raw) % 2:
+        raise AudioFormatError(f"{path}: sample data ends mid-sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _SCALE
     return Waveform(samples, rate)
 

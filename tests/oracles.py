@@ -6,7 +6,8 @@ central finite differences) so agreement with the library is meaningful.
 
 import numpy as np
 
-from specjoint import Model, TrainingData, Variant, loss_and_output_grad
+from specjoint import MetricError, Model, TrainingData, Variant, Waveform, loss_and_output_grad
+from specjoint import metrics
 from specjoint.network import _forward
 
 
@@ -20,6 +21,65 @@ def naive_dft(frame: np.ndarray, fft_size: int) -> np.ndarray:
     for k in range(bins):
         out[k] = np.sum(padded * np.exp(-2j * np.pi * k * n / fft_size))
     return out
+
+
+def loop_frames(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Rows of frame_len samples every hop samples, one slice at a time."""
+    rows = [x[start : start + frame_len] for start in range(0, len(x) - frame_len + 1, hop)]
+    return np.array(rows).reshape(len(rows), frame_len)
+
+
+def loop_overlap_add(rows: np.ndarray, hop: int) -> np.ndarray:
+    """Rows added hop samples apart, one row at a time in row order."""
+    frame_len = rows.shape[1]
+    out = np.zeros((rows.shape[0] - 1) * hop + frame_len)
+    for i, row in enumerate(rows):
+        out[i * hop : i * hop + frame_len] += row
+    return out
+
+
+def loop_stoi(reference: Waveform, test: Waveform) -> float:
+    """STOI with a loop over frames for silence removal and over 30-frame segments."""
+    n = min(len(reference), len(test))
+    ref = metrics._resample_to_stoi_rate(reference.samples[:n], reference.sample_rate)
+    tst = metrics._resample_to_stoi_rate(test.samples[:n], reference.sample_rate)
+    win = metrics._stoi_window()
+    ref_frames = loop_frames(ref, metrics.STOI_FRAME_LEN, metrics.STOI_HOP) * win
+    tst_frames = loop_frames(tst, metrics.STOI_FRAME_LEN, metrics.STOI_HOP) * win
+    if ref_frames.shape[0] == 0:
+        raise MetricError("signal shorter than one frame after resampling")
+    energies = 20.0 * np.log10(np.linalg.norm(ref_frames, axis=1) + metrics._EPS)
+    keep = energies > np.max(energies) - metrics.STOI_DYN_RANGE_DB
+    bands = metrics._third_octave_bands()
+
+    def envelopes(frames: np.ndarray) -> np.ndarray:
+        x = loop_overlap_add(frames, metrics.STOI_HOP)
+        frames = loop_frames(x, metrics.STOI_FRAME_LEN, metrics.STOI_HOP) * win
+        power = np.abs(np.fft.rfft(frames, n=metrics.STOI_FFT_SIZE, axis=1)) ** 2
+        return np.sqrt(power @ bands.T)
+
+    ref_env, tst_env = envelopes(ref_frames[keep]), envelopes(tst_frames[keep])
+    n_frames = ref_env.shape[0]
+    if n_frames < metrics.STOI_SEGMENT:
+        raise MetricError(f"only {n_frames} active frames")
+    eps = metrics._EPS
+    clip_gain = 10.0 ** (-metrics.STOI_CLIP_DB / 20.0)
+    total = 0.0
+    count = 0
+    for m in range(metrics.STOI_SEGMENT, n_frames + 1):
+        x = ref_env[m - metrics.STOI_SEGMENT : m].T
+        y = tst_env[m - metrics.STOI_SEGMENT : m].T
+        scale = np.linalg.norm(x, axis=1, keepdims=True) / (
+            np.linalg.norm(y, axis=1, keepdims=True) + eps
+        )
+        y = np.minimum(y * scale, x * (1.0 + clip_gain))
+        x = x - x.mean(axis=1, keepdims=True)
+        y = y - y.mean(axis=1, keepdims=True)
+        x = x / (np.linalg.norm(x, axis=1, keepdims=True) + eps)
+        y = y / (np.linalg.norm(y, axis=1, keepdims=True) + eps)
+        total += float(np.sum(x * y))
+        count += x.shape[0]
+    return total / count
 
 
 def loop_post_process(

@@ -23,6 +23,7 @@ from specjoint import (
     Waveform,
     load_model,
     read_manifest,
+    read_wav,
     write_features,
     write_manifest,
     write_wav,
@@ -249,6 +250,23 @@ class TestPrepare:
         code = main(["prepare", str(env["clean_dir"]), str(bad_dir), str(tmp_path / "out")])
         assert code == 1
         assert not (tmp_path / "out" / "manifest.tsv").exists()
+
+    @pytest.mark.parametrize("case", ["rate", "truncated"])
+    def test_bad_wav_named_once(self, env, tmp_path, case):
+        clean_dir = tmp_path / "clean"
+        shutil.copytree(env["clean_dir"], clean_dir)
+        bad = clean_dir / "bad.wav"
+        if case == "rate":
+            write_wav(bad, harmonic_voice(0.6, 8000, seed=3))
+            reason = "sample rate 8000 Hz, expected 16000 Hz"
+        else:
+            write_wav(bad, harmonic_voice(1.0, 16000, seed=3))
+            bad.write_bytes(bad.read_bytes()[:-1])
+            reason = "sample data ends mid-sample"
+        result = run_child("prepare", str(clean_dir), str(env["noise_dir"]), str(tmp_path / "out"))
+        assert_one_line_error(result, f"{bad}: {reason}")
+        assert result.stderr.count(str(bad)) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_seed_flag_overrides_config(self, env, tmp_path):
         out = tmp_path / "seeded"
@@ -568,6 +586,40 @@ class TestScoringPass:
         out_csv = tmp_path / "out.csv"
         assert main([command, str(tmp_path), str(enhanced_dir), str(out_csv)]) == 0
         assert len(out_csv.read_text().splitlines()) > 1
+
+
+    @pytest.mark.parametrize(
+        "command,keep,reason",
+        [
+            ("evaluate", 3000, "only 13 active frames"),
+            ("distortion-profile", 100, "signal of 100 samples is shorter than one frame (512)"),
+        ],
+    )
+    def test_unscorable_file_fails_only_itself(self, env, tmp_path, caplog, command, keep, reason):
+        enhanced = tmp_path / "enhanced"
+        shutil.copytree(env["enhanced"], enhanced)
+        test_ids = sorted(
+            e.utterance_id for e in read_manifest(env["corpus"] / "manifest.tsv") if e.split == "test"
+        )
+        cut = enhanced / f"{test_ids[2]}.wav"
+        write_wav(cut, Waveform(read_wav(cut).samples[:keep], 16000))
+        csvs = []
+        for jobs in ("1", "2"):
+            out_csv = tmp_path / f"jobs{jobs}.csv"
+            caplog.clear()
+            code = main([
+                command, "--config", str(env["config"]), "--jobs", jobs,
+                str(env["corpus"]), str(enhanced), str(out_csv),
+            ])
+            assert code == 1
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert len(errors) == 1 and errors[0].startswith(f"error: {cut}: {reason}")
+            csvs.append(out_csv.read_bytes())
+        assert csvs[0] == csvs[1]
+        if command == "evaluate":
+            lines = csvs[0].decode().splitlines()
+            assert lines[-1] == f"failed,,utterance,{test_ids[2]}"
+            assert lines[-2].startswith("overall,,stoi,")
 
 
 class TestMisc:

@@ -31,10 +31,12 @@ from specjoint import (
     read_corpus_stats,
     read_manifest,
     read_norm_stats,
+    read_wav,
     write_manifest,
     write_norm_stats,
     write_wav,
 )
+from specjoint import corpus as corpus_mod
 from specjoint.corpus import assign_splits
 from specjoint.synth import harmonic_voice, white_noise
 
@@ -433,11 +435,18 @@ class TestBuildCorpus:
         assert stats.mean == pytest.approx(expected.mean, rel=1e-6)
         assert stats.variance == pytest.approx(expected.variance, rel=1e-6)
 
-    def test_rebuild_is_byte_identical(self, corpus, tmp_path):
+    def test_rebuild_is_byte_identical(self, corpus, tmp_path, monkeypatch):
         root, out_dir, _ = corpus
         clean_paths = sorted((root / "clean").glob("*.wav"))
         noise_paths = sorted((root / "noise").glob("*.wav"))
         again = tmp_path / "again"
+        decoded = []
+
+        def counting_read_wav(path, expected_rate=None):
+            decoded.append(Path(path).name)
+            return read_wav(path, expected_rate)
+
+        monkeypatch.setattr(corpus_mod, "read_wav", counting_read_wav)
         build_corpus(
             clean_paths,
             noise_paths,
@@ -450,6 +459,8 @@ class TestBuildCorpus:
             test_fraction=0.5,
             seed=7,
         )
+        # Each source is decoded once, not once per mixture.
+        assert sorted(decoded) == ["v0.wav", "v1.wav", "white.wav"]
         assert (again / "manifest.tsv").read_bytes() == (out_dir / "manifest.tsv").read_bytes()
         for path in sorted((out_dir / "features").iterdir()):
             assert (again / "features" / path.name).read_bytes() == path.read_bytes()

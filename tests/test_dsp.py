@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specjoint import (
     ConfigError,
@@ -15,7 +17,8 @@ from specjoint import (
     stft,
     window,
 )
-from oracles import naive_dft
+from specjoint.dsp import frame_signal, overlap_add
+from oracles import loop_frames, loop_overlap_add, naive_dft
 
 
 class TestWaveform:
@@ -153,6 +156,54 @@ class TestIstft:
         padded = istft(spec, 5000)
         assert len(padded) == 5000
         assert np.all(padded.samples[2048:] == 0)
+
+
+def edge_rows(n: int, frame_len: int, seed: int) -> np.ndarray:
+    """Rows with magnitudes from 1e-8 to 1e8, both signs and some -0.0 entries."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, frame_len)) * 10.0 ** rng.uniform(-8, 8, (n, frame_len))
+    rows[rng.random((n, frame_len)) < 0.1] = -0.0
+    return rows
+
+
+# (frame_len, hop) with 0 < hop <= frame_len.
+_FRAMING = st.integers(1, 600).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+_SEED = st.integers(0, 2**32 - 1)
+
+
+class TestFraming:
+    """frame_signal and overlap_add against the one-frame-at-a-time loops."""
+
+    @pytest.mark.parametrize(
+        "frame_len,hop", [(512, 256), (512, 128), (400, 160), (512, 512), (512, 100)]
+    )
+    def test_overlap_add_matches_loop_bytes(self, frame_len, hop):
+        rows = edge_rows(40, frame_len, seed=frame_len + hop)
+        assert overlap_add(rows, hop).tobytes() == loop_overlap_add(rows, hop).tobytes()
+
+    @given(_FRAMING, st.integers(0, 40), _SEED)
+    def test_overlap_add_matches_loop_any_shape(self, framing, n, seed):
+        frame_len, hop = framing
+        rows = edge_rows(n, frame_len, seed)
+        assert overlap_add(rows, hop).tobytes() == loop_overlap_add(rows, hop).tobytes()
+
+    @given(_FRAMING, st.integers(0, 5000), _SEED)
+    def test_frame_signal_matches_loop(self, framing, length, seed):
+        frame_len, hop = framing
+        x = np.random.default_rng(seed).standard_normal(length)
+        rows, expected = frame_signal(x, frame_len, hop), loop_frames(x, frame_len, hop)
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+
+    @given(st.integers(512, 6000), _SEED)
+    def test_istft_inverts_stft(self, length, seed):
+        config = StftConfig()
+        x = np.random.default_rng(seed).standard_normal(length)
+        out = istft(stft(Waveform(x, 16000), config), length).samples
+        end = (frame_count(length, config) - 1) * config.hop + config.frame_len
+        # The Hann window is zero at sample 0, and no frame covers the
+        # dropped partial frame: both stay at zero.
+        assert out[0] == 0.0 and np.all(out[end:] == 0.0)
+        assert np.max(np.abs(out[1:end] - x[1:end])) < 1e-8
 
 
 class TestMagnitudePhase:

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specjoint import (
     DistortionProfile,
@@ -16,7 +18,9 @@ from specjoint import (
     stoi,
     write_wav,
 )
+from specjoint import metrics
 from specjoint.synth import harmonic_voice, white_noise
+from oracles import loop_stoi
 
 
 def wave(samples, rate=16000):
@@ -97,6 +101,62 @@ class TestStoi:
     def test_rate_mismatch(self, speech_like):
         with pytest.raises(MetricError, match="sample rates differ"):
             stoi(speech_like, wave(np.zeros(8000), rate=8000))
+
+
+_SEED = st.integers(0, 2**32 - 1)
+_NOISE = st.floats(0.0, 2.0)
+
+
+def assert_matches_loop(reference: Waveform, test: Waveform) -> None:
+    """Same score within 1e-12, or both reject the pair."""
+    try:
+        expected = loop_stoi(reference, test)
+    except MetricError:
+        with pytest.raises(MetricError):
+            stoi(reference, test)
+        return
+    assert abs(stoi(reference, test) - expected) <= 1e-12
+
+
+class TestStoiMatchesLoop:
+    """stoi scores all 30-frame segments at once; the oracle loops over them."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(10000, 24000), _NOISE, _SEED)
+    def test_random_inputs(self, length, noise, seed):
+        rng = np.random.default_rng(seed)
+        # Loudness steps of 60 dB make silence removal drop some frames.
+        loudness = np.repeat(10.0 ** rng.uniform(-3.0, 0.0, length // 400 + 1), 400)[:length]
+        ref = rng.standard_normal(length) * loudness
+        assert_matches_loop(wave(ref), wave(ref + noise * rng.standard_normal(length)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_NOISE, _SEED)
+    def test_exactly_one_segment(self, noise, seed):
+        rng = np.random.default_rng(seed)
+        # At the STOI rate, 30 frames of 256 samples every 128.
+        ref = rng.standard_normal(29 * metrics.STOI_HOP + metrics.STOI_FRAME_LEN)
+        tst = ref + noise * rng.standard_normal(len(ref))
+        kept, _ = metrics._remove_silent_frames(ref, tst)
+        assert metrics._band_envelopes(kept).shape[0] == metrics.STOI_SEGMENT
+        assert_matches_loop(wave(ref, metrics.STOI_RATE), wave(tst, metrics.STOI_RATE))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(8000, 16000), st.integers(1, 16000), _NOISE, _SEED)
+    def test_silent_tail(self, length, tail, noise, seed):
+        rng = np.random.default_rng(seed)
+        ref = np.concatenate([rng.standard_normal(length), np.zeros(tail)])
+        assert_matches_loop(wave(ref), wave(ref + noise * rng.standard_normal(len(ref))))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 6000), st.floats(-1.0, 1.0))
+    def test_short_dc_inputs_raise(self, length, level):
+        # Under 6,349 samples at 16 kHz give fewer than 30 frames at 10 kHz.
+        dc = wave(np.full(length, level))
+        with pytest.raises(MetricError):
+            stoi(dc, dc)
+        with pytest.raises(MetricError):
+            loop_stoi(dc, dc)
 
 
 class TestDistortionProfile:

@@ -67,6 +67,13 @@ class TestValidation:
         with pytest.raises(AudioFormatError, match="not a valid PCM WAV"):
             read_wav(path)
 
+    def test_data_ending_mid_sample_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(np.zeros(16000), 16000))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(AudioFormatError, match=f"{path}: sample data ends mid-sample"):
+            read_wav(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "absent.wav")
