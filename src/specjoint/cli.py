@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .config import RunConfig
 from .corpus import Variant, load_training_data, read_corpus_stats, read_manifest
-from .dsp import stft
+from .dsp import min_samples, stft
 from .enhance import enhance_waveform, write_diagnostics
 from .errors import SpecJointError, TrainingDivergedError
 from .features import FeatureKind, lps
@@ -85,12 +85,20 @@ def cmd_prepare(args) -> int:
     if not noise_paths:
         log.error("no WAV files in %s", noise_dir)
         return 1
+    # A clean voice must give the noise-aware estimate its frames at train time.
+    needed = min_samples(config.noise_aware_frames, config.stft_config())
     bad = []
-    for path in clean_paths + noise_paths:
+    for i, path in enumerate(clean_paths + noise_paths):
         try:
-            read_wav(path, expected_rate=config.sample_rate)
+            wav = read_wav(path, expected_rate=config.sample_rate)
         except SpecJointError as exc:
             bad.append(str(exc))
+            continue
+        if i < len(clean_paths) and len(wav) < needed:
+            bad.append(
+                f"{path}: {len(wav)} samples is too short: training needs at least {needed} "
+                f"samples ({config.noise_aware_frames} frames)"
+            )
     if bad:
         for line in bad:
             log.error("%s", line)

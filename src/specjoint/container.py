@@ -28,9 +28,7 @@ def write_features(path: str | Path, features: FeatureMatrix) -> None:
     path.write_bytes(header + data.tobytes())
 
 
-def read_features(path: str | Path) -> FeatureMatrix:
-    """Read a feature matrix written by write_features()."""
-    raw = Path(path).read_bytes()
+def _unpack_header(raw: bytes, path) -> tuple[FeatureKind, int, int]:
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated container")
     magic, version, kind, n_frames, dims = _HEADER.unpack_from(raw)
@@ -40,8 +38,21 @@ def read_features(path: str | Path) -> FeatureMatrix:
         raise FormatError(f"{path}: unsupported container version {version}")
     if kind not in {k.value for k in FeatureKind}:
         raise FormatError(f"{path}: unknown feature kind {kind}")
+    return FeatureKind(kind), n_frames, dims
+
+
+def read_shape(path: str | Path) -> tuple[int, int]:
+    """(n_frames, dims) from a container's header, without reading its payload."""
+    with open(path, "rb") as handle:
+        return _unpack_header(handle.read(_HEADER.size), path)[1:]
+
+
+def read_features(path: str | Path) -> FeatureMatrix:
+    """Read a feature matrix written by write_features()."""
+    raw = Path(path).read_bytes()
+    kind, n_frames, dims = _unpack_header(raw, path)
     expected = _HEADER.size + 4 * n_frames * dims
     if len(raw) != expected:
         raise FormatError(f"{path}: payload size {len(raw)} != expected {expected}")
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n_frames, dims)
-    return FeatureMatrix(data.astype(np.float64), FeatureKind(kind))
+    return FeatureMatrix(data.astype(np.float64), kind)

@@ -26,6 +26,7 @@ from .features import (
     lps,
     mfcc,
     splice,
+    splice_indices,
 )
 from .wavio import read_wav, write_wav
 
@@ -413,9 +414,15 @@ def input_dim(variant: Variant, lps_dims: int, mfcc_dims: int, tau: int) -> int:
 
 @dataclass
 class TrainingData:
-    """Row-aligned inputs and targets: a whole split, or rows taken from one."""
+    """Row-aligned inputs and targets: a whole split, or rows taken from one.
 
-    inputs: np.ndarray
+    `frames` holds each distinct feature row once, and row i of `windows`
+    lists the rows of `frames` that input row i concatenates; `inputs`
+    gathers them on demand, so no spliced matrix is held.
+    """
+
+    frames: np.ndarray
+    windows: np.ndarray
     targets_lps: np.ndarray
     targets_mfcc: np.ndarray | None = None
     targets_ibm: np.ndarray | None = None
@@ -423,12 +430,19 @@ class TrainingData:
 
     @property
     def n_rows(self) -> int:
-        return self.inputs.shape[0]
+        return self.windows.shape[0]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """The input matrix, gathered from the frame store."""
+        width = self.windows.shape[1] * self.frames.shape[1]
+        return self.frames[self.windows].reshape(self.n_rows, width)
 
     def take(self, rows) -> "TrainingData":
-        """The rows picked by an index array or a slice."""
+        """The rows picked by an index array or a slice; shares the frame store."""
         return TrainingData(
-            inputs=self.inputs[rows],
+            frames=self.frames,
+            windows=self.windows[rows],
             targets_lps=self.targets_lps[rows],
             targets_mfcc=None if self.targets_mfcc is None else self.targets_mfcc[rows],
             targets_ibm=None if self.targets_ibm is None else self.targets_ibm[rows],
@@ -455,40 +469,62 @@ def load_training_data(
     stats: dict[FeatureKind, NormStats],
     tau: int = DEFAULT_CONTEXT,
     noise_aware_frames: int = DEFAULT_NOISE_AWARE_FRAMES,
-    dtype=np.float32,
 ) -> TrainingData:
-    """Assemble the input and target matrices for the given manifest entries.
+    """Read the given manifest entries into float32 frames, windows and targets.
 
-    Inputs and the LPS/MFCC targets are normalized with the noisy-data
-    statistics; mask targets stay raw {0, 1}.
+    The frame store holds each utterance's normalized noisy features, then
+    one noise-aware row per utterance; each input row's window is laid out
+    as build_input_rows lays out its columns. The LPS/MFCC targets are
+    normalized with the noisy-data statistics; mask targets stay raw {0, 1}.
+    Every array is allocated once, sized from the container headers.
     """
     features_dir = Path(corpus_dir) / FEATURES_DIR
     want_mfcc = FeatureKind.MFCC in variant.head_kinds
     want_ibm = FeatureKind.IBM in variant.head_kinds
-    inputs, t_lps, t_mfcc, t_ibm = [], [], [], []
+    lps_dims = stats[FeatureKind.LPS].dims
+    mfcc_dims = stats[FeatureKind.MFCC].dims if want_mfcc else 0
+    feat_dims = lps_dims + (mfcc_dims if variant.mfcc_in_input else 0)
+    lengths = []
     for entry in entries:
-        uid = entry.utterance_id
-        noisy_lps = container.read_features(feature_path(features_dir, uid, "noisy_lps"))
-        lps_norm = normalize(noisy_lps.data, stats[FeatureKind.LPS])
-        mfcc_norm = None
+        path = feature_path(features_dir, entry.utterance_id, "noisy_lps")
+        n_frames, _ = container.read_shape(path)
+        if n_frames < noise_aware_frames:
+            raise FormatError(
+                f"{path}: {n_frames} frames is too short: the noise-aware estimate "
+                f"needs at least {noise_aware_frames}"
+            )
+        lengths.append(n_frames)
+    n_rows = sum(lengths)
+    frames = np.empty((n_rows + len(entries), feat_dims), dtype=np.float32)
+    windows = np.empty((n_rows, 2 * tau + 2), dtype=np.intp)
+    t_lps = np.empty((n_rows, lps_dims), dtype=np.float32)
+    t_mfcc = np.empty((n_rows, mfcc_dims), dtype=np.float32) if want_mfcc else None
+    t_ibm = np.empty((n_rows, lps_dims), dtype=np.float32) if want_ibm else None
+    start = 0
+    for u, (entry, n_frames) in enumerate(zip(entries, lengths)):
+        rows = slice(start, start + n_frames)
+
+        def read(name: str) -> np.ndarray:
+            path = feature_path(features_dir, entry.utterance_id, name)
+            block = container.read_features(path)
+            if block.n_frames != n_frames:
+                raise FormatError(f"{path}: {block.n_frames} frames, the noisy LPS has {n_frames}")
+            return block.data
+
+        feat = normalize(read("noisy_lps"), stats[FeatureKind.LPS])
         if variant.mfcc_in_input:
-            noisy_mfcc = container.read_features(feature_path(features_dir, uid, "noisy_mfcc"))
-            mfcc_norm = normalize(noisy_mfcc.data, stats[FeatureKind.MFCC])
-        inputs.append(build_input_rows(lps_norm, mfcc_norm, tau, noise_aware_frames))
-        clean_lps = container.read_features(feature_path(features_dir, uid, "clean_lps"))
-        t_lps.append(normalize(clean_lps.data, stats[FeatureKind.LPS]))
+            feat = np.hstack([feat, normalize(read("noisy_mfcc"), stats[FeatureKind.MFCC])])
+        frames[rows] = feat
+        frames[n_rows + u] = estimate_noise_aware_vector(feat, noise_aware_frames)
+        windows[rows, :-1] = start + splice_indices(n_frames, tau)
+        windows[rows, -1] = n_rows + u
+        t_lps[rows] = normalize(read("clean_lps"), stats[FeatureKind.LPS])
         if want_mfcc:
-            clean_mfcc = container.read_features(feature_path(features_dir, uid, "clean_mfcc"))
-            t_mfcc.append(normalize(clean_mfcc.data, stats[FeatureKind.MFCC]))
+            t_mfcc[rows] = normalize(read("clean_mfcc"), stats[FeatureKind.MFCC])
         if want_ibm:
-            t_ibm.append(container.read_features(feature_path(features_dir, uid, "ibm")).data)
-    return TrainingData(
-        variant=variant,
-        inputs=np.vstack(inputs).astype(dtype),
-        targets_lps=np.vstack(t_lps).astype(dtype),
-        targets_mfcc=np.vstack(t_mfcc).astype(dtype) if want_mfcc else None,
-        targets_ibm=np.vstack(t_ibm).astype(dtype) if want_ibm else None,
-    )
+            t_ibm[rows] = read("ibm")
+        start += n_frames
+    return TrainingData(frames, windows, t_lps, t_mfcc, t_ibm, variant)
 
 
 def assemble_batches(data: TrainingData, batch_size: int, shuffle_seed: int) -> Iterator[TrainingData]:

@@ -118,6 +118,11 @@ def frame_count(n_samples: int, config: StftConfig) -> int:
     return 1 + (n_samples - config.frame_len) // config.hop
 
 
+def min_samples(n_frames: int, config: StftConfig) -> int:
+    """Fewest samples that stft() turns into n_frames frames."""
+    return config.frame_len + (n_frames - 1) * config.hop
+
+
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """Read-only view of rows of frame_len samples every hop samples from
     sample 0; a trailing partial frame is dropped."""

@@ -21,6 +21,7 @@ from .dsp import (
     combine_magnitude_phase,
     istft,
     magnitude_phase,
+    min_samples,
     stft,
 )
 from .errors import ConfigError, SpecJointError
@@ -95,7 +96,7 @@ def enhance_features(
     spectrum are returned so callers can gate against them and reuse the phase.
     An utterance shorter than the model's noise_aware_frames frames is rejected.
     """
-    needed = stft_config.frame_len + (model.noise_aware_frames - 1) * stft_config.hop
+    needed = min_samples(model.noise_aware_frames, stft_config)
     if len(noisy) < needed:
         raise SpecJointError(
             f"{len(noisy)} samples is too short: the model needs at least {needed} samples "

@@ -160,14 +160,18 @@ def compute_ibm(clean: Spectrogram, noise: Spectrogram, cfg: IbmConfig | None = 
     return FeatureMatrix(mask.astype(np.float64), FeatureKind.IBM)
 
 
+def splice_indices(n_frames: int, tau: int) -> np.ndarray:
+    """(n_frames, 2*tau+1) indices of frames n-tau..n+tau per frame n, edge-clamped."""
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    return np.clip(np.arange(n_frames)[:, None] + np.arange(-tau, tau + 1)[None, :], 0, n_frames - 1)
+
+
 def splice(data: np.ndarray, tau: int) -> np.ndarray:
     """Concatenate frames n-tau..n+tau per row, replicating edge frames.
 
     Output has dims*(2*tau+1) columns and the same row count as the input.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
     data = np.asarray(data)
     n = data.shape[0]
-    indices = np.clip(np.arange(n)[:, None] + np.arange(-tau, tau + 1)[None, :], 0, n - 1)
-    return data[indices].reshape(n, -1)
+    return data[splice_indices(n, tau)].reshape(n, -1)

@@ -323,14 +323,17 @@ def sgd_step(
     learning_rate: float,
     momentum: float,
 ) -> None:
+    """Momentum SGD, v = mom * v - lr * g then p += v, in place; it scales
+    the gradients in place too, so they are spent once it returns."""
     grad_w, grad_b = grads
     lr = np.float32(learning_rate)
     mom = np.float32(momentum)
-    for i in range(len(model.weights)):
-        state.velocity_w[i] = mom * state.velocity_w[i] - lr * grad_w[i]
-        state.velocity_b[i] = mom * state.velocity_b[i] - lr * grad_b[i]
-        model.weights[i] += state.velocity_w[i]
-        model.biases[i] += state.velocity_b[i]
+    params = model.weights + model.biases
+    velocities = state.velocity_w + state.velocity_b
+    for param, velocity, grad in zip(params, velocities, grad_w + grad_b):
+        velocity *= mom
+        velocity -= np.multiply(grad, lr, out=grad)
+        param += velocity
 
 
 def _dataset_loss(

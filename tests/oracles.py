@@ -4,11 +4,15 @@ Everything here is written the slow, obvious way (scalar loops, naive DFT,
 central finite differences) so agreement with the library is meaningful.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from specjoint import MetricError, Model, TrainingData, Variant, Waveform, loss_and_output_grad
-from specjoint import metrics
-from specjoint.network import _forward
+from specjoint import container, metrics
+from specjoint.corpus import FEATURES_DIR, build_input_rows, feature_path, normalize
+from specjoint.features import FeatureKind
+from specjoint.network import _forward, _Momentum
 
 
 def naive_dft(frame: np.ndarray, fft_size: int) -> np.ndarray:
@@ -118,15 +122,22 @@ def fd_gradient(
     return (plus - minus) / (2.0 * h)
 
 
+def dense_rows(
+    inputs, targets_lps, targets_mfcc=None, targets_ibm=None, variant: Variant | None = None
+) -> TrainingData:
+    """Rows whose input matrix is given whole: each row's window is itself."""
+    inputs = np.asarray(inputs)
+    windows = np.arange(inputs.shape[0])[:, None]
+    return TrainingData(inputs, windows, targets_lps, targets_mfcc, targets_ibm, variant)
+
+
 def random_training_data(
     variant: Variant, n_rows: int, input_dim: int, lps_dims: int, mfcc_dims: int, seed: int
 ) -> TrainingData:
     """Random but well-scaled data for loss and gradient exercises."""
     rng = np.random.default_rng(seed)
-    from specjoint.features import FeatureKind
-
     kinds = variant.head_kinds
-    return TrainingData(
+    return dense_rows(
         variant=variant,
         inputs=rng.standard_normal((n_rows, input_dim)).astype(np.float32),
         targets_lps=rng.standard_normal((n_rows, lps_dims)).astype(np.float32),
@@ -148,3 +159,51 @@ def as_float64(model: Model) -> Model:
     model.weights = [w.astype(np.float64) for w in model.weights]
     model.biases = [b.astype(np.float64) for b in model.biases]
     return model
+
+
+def out_of_place_sgd_step(
+    model: Model, grads: tuple, state: _Momentum, learning_rate: float, momentum: float
+) -> None:
+    """Momentum SGD with every intermediate as a new array."""
+    grad_w, grad_b = grads
+    lr = np.float32(learning_rate)
+    mom = np.float32(momentum)
+    for i in range(len(model.weights)):
+        state.velocity_w[i] = mom * state.velocity_w[i] - lr * grad_w[i]
+        state.velocity_b[i] = mom * state.velocity_b[i] - lr * grad_b[i]
+        model.weights[i] += state.velocity_w[i]
+        model.biases[i] += state.velocity_b[i]
+
+
+def materialised_training_data(
+    corpus_dir, entries, variant: Variant, stats: dict, tau: int, noise_aware_frames: int
+) -> TrainingData:
+    """Every utterance's rows spliced by build_input_rows, the serving path's
+    layout, stacked in float64 and then cast to float32."""
+    features_dir = Path(corpus_dir) / FEATURES_DIR
+    want_mfcc = FeatureKind.MFCC in variant.head_kinds
+    want_ibm = FeatureKind.IBM in variant.head_kinds
+    inputs, t_lps, t_mfcc, t_ibm = [], [], [], []
+    for entry in entries:
+        uid = entry.utterance_id
+        noisy_lps = container.read_features(feature_path(features_dir, uid, "noisy_lps"))
+        lps_norm = normalize(noisy_lps.data, stats[FeatureKind.LPS])
+        mfcc_norm = None
+        if variant.mfcc_in_input:
+            noisy_mfcc = container.read_features(feature_path(features_dir, uid, "noisy_mfcc"))
+            mfcc_norm = normalize(noisy_mfcc.data, stats[FeatureKind.MFCC])
+        inputs.append(build_input_rows(lps_norm, mfcc_norm, tau, noise_aware_frames))
+        clean_lps = container.read_features(feature_path(features_dir, uid, "clean_lps"))
+        t_lps.append(normalize(clean_lps.data, stats[FeatureKind.LPS]))
+        if want_mfcc:
+            clean_mfcc = container.read_features(feature_path(features_dir, uid, "clean_mfcc"))
+            t_mfcc.append(normalize(clean_mfcc.data, stats[FeatureKind.MFCC]))
+        if want_ibm:
+            t_ibm.append(container.read_features(feature_path(features_dir, uid, "ibm")).data)
+    return dense_rows(
+        variant=variant,
+        inputs=np.vstack(inputs).astype(np.float32),
+        targets_lps=np.vstack(t_lps).astype(np.float32),
+        targets_mfcc=np.vstack(t_mfcc).astype(np.float32) if want_mfcc else None,
+        targets_ibm=np.vstack(t_ibm).astype(np.float32) if want_ibm else None,
+    )

@@ -59,11 +59,10 @@ from specjoint.corpus import (
     feature_path,
     input_dim,
 )
-from specjoint.corpus import TrainingData
 from specjoint.network import _Momentum, _forward
 from specjoint.synth import harmonic_voice, white_noise, write_demo_corpus
 
-from oracles import as_float64, loop_post_process, model_loss, random_training_data
+from oracles import as_float64, dense_rows, loop_post_process, model_loss, random_training_data
 
 SEED = 11
 STFT_CFG = StftConfig()
@@ -211,7 +210,7 @@ def test_criterion_2_loss_arithmetic(report):
         heads=(HeadSpec(FeatureKind.LPS, 0, 2),),
         stats={},
     )
-    batch = TrainingData(inputs=np.zeros((1, 2)), targets_lps=np.array([[3.0, 4.0]]))
+    batch = dense_rows(inputs=np.zeros((1, 2)), targets_lps=np.array([[3.0, 4.0]]))
     zero_est, _ = loss_and_output_grad(head_only, np.zeros((1, 2)), batch, 0.1, 0.002)
     part_est, _ = loss_and_output_grad(head_only, np.array([[3.0, 0.0]]), batch, 0.1, 0.002)
     ok = abs(zero_est.lps - 1.0) <= 1e-12 and abs(part_est.lps - 0.64) <= 1e-12
@@ -265,7 +264,7 @@ def test_criterion_3_gradients_match_finite_differences(report):
             init_model(variant, 12, {}, TAU, NAF, 5, 3, hidden_units=10, hidden_layers=2, seed=5)
         )
         batch = next(assemble_batches(data, 16, shuffle_seed=0))
-        batch = TrainingData(
+        batch = dense_rows(
             batch.inputs.astype(np.float64),
             batch.targets_lps.astype(np.float64),
             None if batch.targets_mfcc is None else batch.targets_mfcc.astype(np.float64),

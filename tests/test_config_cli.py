@@ -17,17 +17,21 @@ from specjoint import (
     FeatureKind,
     FeatureMatrix,
     HeadSpec,
+    IbmConfig,
     MixSpec,
     RunConfig,
+    StftConfig,
     Variant,
     Waveform,
     load_model,
+    mel_bank,
     read_manifest,
     read_wav,
     write_features,
     write_manifest,
     write_wav,
 )
+from specjoint import corpus as corpus_mod
 from specjoint.cli import main
 from specjoint.dsp import WINDOW_NAMES
 from specjoint.synth import harmonic_voice, white_noise
@@ -251,7 +255,7 @@ class TestPrepare:
         assert code == 1
         assert not (tmp_path / "out" / "manifest.tsv").exists()
 
-    @pytest.mark.parametrize("case", ["rate", "truncated"])
+    @pytest.mark.parametrize("case", ["rate", "truncated", "short"])
     def test_bad_wav_named_once(self, env, tmp_path, case):
         clean_dir = tmp_path / "clean"
         shutil.copytree(env["clean_dir"], clean_dir)
@@ -259,6 +263,10 @@ class TestPrepare:
         if case == "rate":
             write_wav(bad, harmonic_voice(0.6, 8000, seed=3))
             reason = "sample rate 8000 Hz, expected 16000 Hz"
+        elif case == "short":
+            # Two frames: too few for the six-frame noise-aware estimate.
+            write_wav(bad, Waveform(harmonic_voice(1.0, 16000, seed=3).samples[:1000]))
+            reason = "1000 samples is too short: training needs at least 1792 samples (6 frames)"
         else:
             write_wav(bad, harmonic_voice(1.0, 16000, seed=3))
             bad.write_bytes(bad.read_bytes()[:-1])
@@ -349,6 +357,23 @@ class TestMalformedCorpus:
         manifest.write_text("\n".join([*rows, line]) + "\n")
         result = run_child("train", str(corpus), str(tmp_path / "m.sjnn"))
         assert_one_line_error(result, f"{manifest}:{len(rows) + 1}: ")
+
+    def test_short_mixture(self, env, tmp_path):
+        # A corpus prepared without the length check: one clean voice of 1000 samples.
+        clean_dir = tmp_path / "clean"
+        shutil.copytree(env["clean_dir"], clean_dir)
+        write_wav(clean_dir / "short.wav", Waveform(harmonic_voice(1.0, 16000, seed=3).samples[:1000]))
+        corpus = tmp_path / "corpus"
+        corpus_mod.build_corpus(
+            sorted(clean_dir.glob("*.wav")), sorted(env["noise_dir"].glob("*.wav")), corpus,
+            StftConfig(), mel_bank(), IbmConfig(), snr_grid=(0.0,), val_fraction=0.0,
+            test_fraction=0.0,
+        )
+        result = run_child("train", str(corpus), str(tmp_path / "m.sjnn"))
+        assert result.returncode == 1 and "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, result.stderr
+        assert "short__white__snr0dB.noisy_lps.sjfm: 2 frames is too short" in errors[0]
 
     @pytest.mark.parametrize(
         "rows", [np.ones((3, 257)), np.vstack([np.zeros(257), np.zeros(257)])],

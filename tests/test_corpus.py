@@ -1,7 +1,12 @@
+import re
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specjoint import (
     ConfigError,
@@ -13,7 +18,6 @@ from specjoint import (
     NormStats,
     ScalingError,
     StftConfig,
-    TrainingData,
     Variant,
     Waveform,
     assemble_batches,
@@ -33,12 +37,15 @@ from specjoint import (
     read_norm_stats,
     read_wav,
     write_manifest,
+    write_features,
     write_norm_stats,
     write_wav,
 )
 from specjoint import corpus as corpus_mod
-from specjoint.corpus import assign_splits
+from specjoint.corpus import assign_splits, feature_path
 from specjoint.synth import harmonic_voice, white_noise
+
+from oracles import dense_rows, materialised_training_data
 
 
 def wave(samples, rate=16000):
@@ -316,7 +323,7 @@ class TestBuildInputRows:
 class TestBatches:
     def data(self, n=10):
         inputs = np.arange(n, dtype=np.float32)[:, None] * np.ones((1, 3), np.float32)
-        return TrainingData(
+        return dense_rows(
             variant=Variant.IBM,
             inputs=inputs,
             targets_lps=inputs * 10.0,
@@ -490,6 +497,84 @@ class TestBuildCorpus:
             build_corpus([], [Path("n.wav")], tmp_path, StftConfig(), mel_bank(), IbmConfig())
         with pytest.raises(ConfigError, match="no noise files"):
             build_corpus([Path("c.wav")], [], tmp_path, StftConfig(), mel_bank(), IbmConfig())
+
+
+def write_feature_corpus(root, lengths, lps_dims, mfcc_dims, seed):
+    """Random feature containers for one utterance per length, and stats for them."""
+    rng = np.random.default_rng(seed)
+    features_dir = root / corpus_mod.FEATURES_DIR
+    entries = []
+    for i, n in enumerate(lengths):
+        entry = MixSpec(Path(f"c{i}.wav"), Path("noise.wav"), 0.0, 0, "train")
+        blocks = {
+            "noisy_lps": (rng.normal(-3.0, 2.0, (n, lps_dims)), FeatureKind.LPS),
+            "noisy_mfcc": (rng.normal(1.0, 3.0, (n, mfcc_dims)), FeatureKind.MFCC),
+            "clean_lps": (rng.normal(-4.0, 2.0, (n, lps_dims)), FeatureKind.LPS),
+            "clean_mfcc": (rng.normal(0.5, 3.0, (n, mfcc_dims)), FeatureKind.MFCC),
+            "ibm": ((rng.random((n, lps_dims)) > 0.5).astype(float), FeatureKind.IBM),
+        }
+        for name, (data, kind) in blocks.items():
+            write_features(feature_path(features_dir, entry.utterance_id, name), FeatureMatrix(data, kind))
+        entries.append(entry)
+    stats = {
+        FeatureKind.LPS: NormStats(rng.normal(-3.0, 1.0, lps_dims), rng.uniform(1.0, 5.0, lps_dims)),
+        FeatureKind.MFCC: NormStats(rng.normal(1.0, 1.0, mfcc_dims), rng.uniform(1.0, 9.0, mfcc_dims)),
+    }
+    return entries, stats
+
+
+def assert_same_bytes(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestLoadTrainingData:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        variant=st.sampled_from([Variant.BASELINE, Variant.MFCC_IBM]),
+        tau=st.integers(0, 4),
+        noise_aware_frames=st.integers(1, 4),
+        draw=st.data(),
+    )
+    def test_gather_matches_materialised_rows(self, variant, tau, noise_aware_frames, draw):
+        # Lengths run from the shortest an utterance may be to past one
+        # window, so windows are clamped at both edges.
+        longest = max(noise_aware_frames, 2 * tau + 1) + 2
+        lengths = draw.draw(st.lists(st.integers(noise_aware_frames, longest), min_size=1, max_size=3))
+        with tempfile.TemporaryDirectory() as tmp:
+            entries, stats = write_feature_corpus(Path(tmp), lengths, 5, 3, seed=sum(lengths) + tau)
+            args = (Path(tmp), entries, variant, stats, tau, noise_aware_frames)
+            got, want = load_training_data(*args), materialised_training_data(*args)
+        n = sum(lengths)
+        picks = draw.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        start, stop = sorted(draw.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        assert got.n_rows == n and got.variant == variant
+        for rows in (slice(None), np.array(picks, dtype=np.intp), slice(start, stop)):
+            a, b = got.take(rows), want.take(rows)
+            for name in ("inputs", "targets_lps", "targets_mfcc", "targets_ibm"):
+                assert_same_bytes(getattr(a, name), getattr(b, name))
+
+    def test_peak_memory_stays_near_what_it_returns(self, tmp_path):
+        entries, stats = write_feature_corpus(tmp_path, [50] * 16, 257, 41, seed=3)
+        tracemalloc.start()
+        try:
+            data = load_training_data(tmp_path, entries, Variant.MFCC_IBM, stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = (data.frames, data.windows, data.targets_lps, data.targets_mfcc, data.targets_ibm)
+        held = sum(a.nbytes for a in arrays)
+        assert peak < 1.5 * held, f"peak {peak} B for {held} B returned"
+
+    def test_misaligned_target_named(self, tmp_path):
+        entries, stats = write_feature_corpus(tmp_path, [8], 5, 3, seed=1)
+        target = feature_path(tmp_path / corpus_mod.FEATURES_DIR, entries[0].utterance_id, "clean_lps")
+        write_features(target, FeatureMatrix(np.zeros((7, 5)), FeatureKind.LPS))
+        with pytest.raises(FormatError, match=re.escape(f"{target}: 7 frames, the noisy LPS has 8")):
+            load_training_data(tmp_path, entries, Variant.BASELINE, stats)
 
 
 class TestAssignSplits:

@@ -14,6 +14,7 @@ from specjoint import (
     TrainConfig,
     TrainingDivergedError,
     Variant,
+    assemble_batches,
     backward,
     batch_loss,
     init_model,
@@ -24,10 +25,16 @@ from specjoint import (
     sgd_step,
     train,
 )
-from specjoint.corpus import TrainingData
 from specjoint.network import _Momentum, _forward, head_layout
 
-from oracles import as_float64, fd_gradient, model_loss, random_training_data
+from oracles import (
+    as_float64,
+    dense_rows,
+    fd_gradient,
+    model_loss,
+    out_of_place_sgd_step,
+    random_training_data,
+)
 
 LPS_DIMS = 5
 MFCC_DIMS = 3
@@ -69,7 +76,7 @@ def linear_model(weight, heads, bias=None):
 
 
 def one_batch(data):
-    return TrainingData(data.inputs, data.targets_lps, data.targets_mfcc, data.targets_ibm)
+    return dense_rows(data.inputs, data.targets_lps, data.targets_mfcc, data.targets_ibm)
 
 
 class TestInit:
@@ -221,14 +228,14 @@ class TestLoss:
         heads = (HeadSpec(kind, 0, pred.shape[1]),)
         model = linear_model(np.eye(pred.shape[1]), heads)
         target = np.asarray(target, dtype=np.float64)
-        batch = TrainingData(
+        batch = dense_rows(
             inputs=pred,
             targets_lps=target if kind == FeatureKind.LPS else np.zeros_like(target),
             targets_ibm=target if kind == FeatureKind.IBM else None,
         )
         if kind == FeatureKind.IBM:
             model.heads = (HeadSpec(FeatureKind.LPS, 0, pred.shape[1]),)
-            batch = TrainingData(inputs=pred, targets_lps=target)
+            batch = dense_rows(inputs=pred, targets_lps=target)
         report, grad = loss_and_output_grad(model, pred, batch, alpha, beta)
         return report, grad
 
@@ -256,7 +263,7 @@ class TestLoss:
         model = linear_model(np.eye(4), heads)
         model.variant = Variant.IBM
         outputs = np.array([[1.0, 2.0, 0.5, 1.0]])
-        batch = TrainingData(
+        batch = dense_rows(
             inputs=outputs,
             targets_lps=np.array([[1.0, 2.0]]),
             targets_ibm=np.array([[0.0, 1.0]]),
@@ -271,7 +278,7 @@ class TestLoss:
         model = tiny_model(Variant.MFCC_IBM)
         outputs = np.zeros((2, model.output_dim))
         outputs[:, 8] = 1.0  # mask slice: one unit error per row
-        batch = TrainingData(
+        batch = dense_rows(
             inputs=np.zeros((2, INPUT_DIM)),
             targets_lps=np.tile([3.0, 4.0, 0.0, 0.0, 0.0], (2, 1)),
             targets_mfcc=np.tile([1.0, 0.0, 0.0], (2, 1)),
@@ -294,7 +301,7 @@ class TestLoss:
     def test_missing_targets_rejected(self):
         model = tiny_model(Variant.MFCC_IBM)
         outputs = np.zeros((1, model.output_dim))
-        batch = TrainingData(inputs=np.zeros((1, INPUT_DIM)), targets_lps=np.zeros((1, 5)))
+        batch = dense_rows(inputs=np.zeros((1, INPUT_DIM)), targets_lps=np.zeros((1, 5)))
         with pytest.raises(ValueError, match="no cepstral targets"):
             loss_and_output_grad(model, outputs, batch, 0.1, 0.002)
 
@@ -305,7 +312,7 @@ class TestBackward:
         model = as_float64(tiny_model(variant, seed=2))
         batch = one_batch(tiny_data(variant, n_rows=8, seed=2))
         inputs = batch.inputs.astype(np.float64)
-        batch = TrainingData(inputs, batch.targets_lps, batch.targets_mfcc, batch.targets_ibm)
+        batch = dense_rows(inputs, batch.targets_lps, batch.targets_mfcc, batch.targets_ibm)
         cache = _forward(model, inputs)
         _, output_grad = loss_and_output_grad(model, cache.outputs, batch, 0.1, 0.002)
         grad_w, _ = backward(model, cache, output_grad)
@@ -320,7 +327,7 @@ class TestBackward:
     def test_perfect_fit_has_zero_gradient(self):
         heads = (HeadSpec(FeatureKind.LPS, 0, 2),)
         model = linear_model(np.eye(2), heads)
-        batch = TrainingData(inputs=np.array([[1.0, 2.0]]), targets_lps=np.array([[1.0, 2.0]]))
+        batch = dense_rows(inputs=np.array([[1.0, 2.0]]), targets_lps=np.array([[1.0, 2.0]]))
         cache = _forward(model, batch.inputs)
         _, output_grad = loss_and_output_grad(model, cache.outputs, batch, 0.1, 0.002)
         grad_w, grad_b = backward(model, cache, output_grad)
@@ -369,6 +376,28 @@ class TestSgdStep:
         assert model.weights[0][0, 0] == pytest.approx(0.8, rel=1e-6)
         self.step(model, state, 1.0, lr=0.1, momentum=0.9)
         assert model.weights[0][0, 0] == pytest.approx(0.52, rel=1e-6)
+
+    def test_matches_out_of_place_oracle(self):
+        fast, slow = tiny_model(Variant.MFCC_IBM, seed=6), tiny_model(Variant.MFCC_IBM, seed=6)
+        fast_state, slow_state = _Momentum.zeros_like(fast), _Momentum.zeros_like(slow)
+        data = tiny_data(Variant.MFCC_IBM, seed=6)
+        steps = 0
+        for epoch in range(2):
+            for batch in assemble_batches(data, 8, shuffle_seed=epoch):
+                cache = _forward(fast, batch.inputs)
+                _, output_grad = loss_and_output_grad(fast, cache.outputs, batch, 0.1, 0.002)
+                grad_w, grad_b = backward(fast, cache, output_grad)
+                rate = 0.05 / (epoch + 1)
+                out_of_place_sgd_step(slow, (grad_w, grad_b), slow_state, rate, 0.9)
+                copies = ([g.copy() for g in grad_w], [g.copy() for g in grad_b])
+                sgd_step(fast, copies, fast_state, rate, 0.9)
+                fast_arrays = fast.weights + fast.biases + fast_state.velocity_w + fast_state.velocity_b
+                slow_arrays = slow.weights + slow.biases + slow_state.velocity_w + slow_state.velocity_b
+                for a, b in zip(fast_arrays, slow_arrays):
+                    assert a.dtype == b.dtype == np.float32
+                    assert a.tobytes() == b.tobytes()
+                steps += 1
+        assert steps == 6
 
 
 class TestTrainConfig:
