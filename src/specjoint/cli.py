@@ -85,7 +85,8 @@ def cmd_prepare(args) -> int:
     if not noise_paths:
         log.error("no WAV files in %s", noise_dir)
         return 1
-    # A clean voice must give the noise-aware estimate its frames at train time.
+    # Every source must carry signal to be mixed at an SNR, and a clean voice
+    # must give the noise-aware estimate its frames at train time.
     needed = min_samples(config.noise_aware_frames, config.stft_config())
     bad = []
     for i, path in enumerate(clean_paths + noise_paths):
@@ -94,14 +95,16 @@ def cmd_prepare(args) -> int:
         except SpecJointError as exc:
             bad.append(str(exc))
             continue
-        if i < len(clean_paths) and len(wav) < needed:
+        if not wav.samples.any():
+            bad.append(f"{path}: no nonzero sample; a silent source cannot be mixed at an SNR")
+        elif i < len(clean_paths) and len(wav) < needed:
             bad.append(
                 f"{path}: {len(wav)} samples is too short: training needs at least {needed} "
                 f"samples ({config.noise_aware_frames} frames)"
             )
     if bad:
         for line in bad:
-            log.error("%s", line)
+            log.error("error: %s", line)
         return 1
     entries = corpus_mod.build_corpus(
         clean_paths,
@@ -270,10 +273,12 @@ def _score_split(args, config: RunConfig, score):
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
     scored, missing, failed = _score_split(args, config, metrics_mod.ssnr_stoi)
-    report = metrics_mod.condition_report(scored, missing, failed)
-    Path(args.out_csv).write_text(metrics_mod.report_csv(report), encoding="utf-8")
+    report = metrics_mod.report_csv(scored, missing, failed)
+    Path(args.out_csv).write_text(report, encoding="utf-8")
+    # Log the overall rows as written rather than averaging a second time.
+    overall = [line.split(",")[2:] for line in report.splitlines() if line.startswith("overall,,")]
     log.info(
-        "ssnr %.3f dB, stoi %.4f over %d utterances", report.ssnr_db, report.stoi, report.n_utterances
+        "%s over %d utterances", ", ".join(f"{name} {value}" for name, value in overall), len(scored)
     )
     return 1 if missing or failed else 0
 

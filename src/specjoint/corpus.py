@@ -365,9 +365,14 @@ def build_corpus(
                 offset = int(rng.integers(0, len(noise)))
                 entry = MixSpec(clean_path, noise_path, float(snr_db), offset, splits[clean_path])
                 entries.append(entry)
-                mix = extract_mixture_features(
-                    clean, noise, entry.snr_db, offset, stft_config, bank, ibm_config
-                )
+                try:
+                    mix = extract_mixture_features(
+                        clean, noise, entry.snr_db, offset, stft_config, bank, ibm_config
+                    )
+                except ScalingError as exc:
+                    raise ScalingError(
+                        f"{clean_path} with {noise_path} at offset {offset}: {exc}"
+                    ) from exc
                 write_mixture_features(features_dir, entry.utterance_id, mix)
                 write_wav(noisy_dir / f"{entry.utterance_id}.wav", mix.noisy)
                 if entry.split == "train":

@@ -8,7 +8,7 @@ reader of clean/enhanced pairs; it cuts each pair to the shorter length.
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -207,32 +207,9 @@ def profile_csv(profile: DistortionProfile, sample_rate: int, fft_size: int) -> 
     return buf.getvalue()
 
 
-@dataclass
-class ConditionStats:
-    ssnr_db: float
-    stoi: float
-    n_utterances: int
-
-
-@dataclass
-class MetricReport:
-    """Per-(noise, SNR) and overall means over utterances."""
-
-    ssnr_db: float
-    stoi: float
-    n_utterances: int
-    per_condition: dict[tuple[str, float], ConditionStats] = field(default_factory=dict)
-    missing: list[str] = field(default_factory=list)
-    failed: list[str] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing and not self.failed
-
-
 def score_pairs(
     entries, enhanced_dir: str | Path, score, sample_rate: int = DEFAULT_SAMPLE_RATE, map_fn=map
-) -> tuple[list[tuple], list[str]]:
+) -> tuple[list[tuple], list[str], list[tuple[Path, str]]]:
     """Apply score(clean, enhanced) to each entry's enhanced <utterance_id>.wav.
 
     Both WAVs are read at sample_rate and cut to the shorter length. Returns
@@ -267,64 +244,45 @@ def score_pairs(
     return scored, missing, failed
 
 
-def ssnr_stoi(clean: Waveform, enhanced: Waveform) -> tuple[float, float]:
-    return ssnr(clean, enhanced), stoi(clean, enhanced)
+def ssnr_stoi(clean: Waveform, enhanced: Waveform) -> dict[str, float]:
+    return {"ssnr_db": ssnr(clean, enhanced), "stoi": stoi(clean, enhanced)}
 
 
-def _mean_stats(pairs: list[tuple[float, float]]) -> ConditionStats:
-    ssnrs, stois = zip(*pairs)
-    return ConditionStats(float(np.mean(ssnrs)), float(np.mean(stois)), len(pairs))
+def condition_means(scored) -> tuple[dict[tuple[str, float], dict[str, float]], dict[str, float]]:
+    """Mean of every named score per (noise stem, SNR), and overall.
 
-
-def evaluate_condition(
-    entries, enhanced_dir: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE, map_fn=map
-) -> MetricReport:
-    """SSNR and STOI of each enhanced utterance, averaged per (noise, SNR) and overall.
-
-    Entries with no matching enhanced file are listed as missing, and those
-    that cannot be scored as failed; both are left out of the averages.
-    Results do not depend on entry order.
+    scored holds score_pairs' (entry, {name: value}) pairs. Each condition
+    sums its utterances in the order given; the overall mean sums the
+    conditions in the order first seen, then the utterances within each.
     """
-    scored, missing, failed = score_pairs(entries, enhanced_dir, ssnr_stoi, sample_rate, map_fn)
-    if not scored:
-        raise MetricError("no enhanced utterances found to evaluate")
-    return condition_report(scored, missing, failed)
+    groups: dict[tuple[str, float], list[dict[str, float]]] = {}
+    for entry, scores in scored:
+        groups.setdefault((entry.noise_path.stem, entry.snr_db), []).append(scores)
+
+    def means(rows: list[dict[str, float]]) -> dict[str, float]:
+        return {name: float(np.mean([row[name] for row in rows])) for name in rows[0]}
+
+    overall = means([row for rows in groups.values() for row in rows])
+    return {key: means(rows) for key, rows in groups.items()}, overall
 
 
-def condition_report(scored, missing: list[str], failed: list[tuple[Path, str]]) -> MetricReport:
-    """Average the (entry, (ssnr, stoi)) pairs of score_pairs per (noise, SNR) and overall."""
-    per_utt: dict[tuple[str, float], list[tuple[float, float]]] = {}
-    for entry, pair in scored:
-        per_utt.setdefault((entry.noise_path.stem, entry.snr_db), []).append(pair)
-    per_condition = {key: _mean_stats(pairs) for key, pairs in per_utt.items()}
-    overall = _mean_stats([pair for pairs in per_utt.values() for pair in pairs])
-    return MetricReport(
-        overall.ssnr_db,
-        overall.stoi,
-        overall.n_utterances,
-        per_condition,
-        missing,
-        [path.stem for path, _ in failed],
-    )
+def report_csv(scored, missing: list[str], failed: list[tuple[Path, str]]) -> str:
+    """Rows of noise,snr_db,metric,value: one per named score per (noise, SNR),
+    then the overall rows with noise=overall.
 
-
-def report_csv(report: MetricReport) -> str:
-    """Rows of noise,snr_db,metric,value; the overall rows use noise=overall.
-
-    Ids with no enhanced file close the table as missing rows, then ids
-    that could not be scored as failed rows.
+    Ids with no enhanced file close the table as missing rows, then the
+    enhanced files that could not be scored as failed rows.
     """
+    per_condition, overall = condition_means(scored)
+    rows = [(noise, f"{snr:g}", per_condition[(noise, snr)]) for noise, snr in sorted(per_condition)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["noise", "snr_db", "metric", "value"])
-    for noise, snr_db in sorted(report.per_condition):
-        stats = report.per_condition[(noise, snr_db)]
-        writer.writerow([noise, f"{snr_db:g}", "ssnr_db", f"{stats.ssnr_db:.4f}"])
-        writer.writerow([noise, f"{snr_db:g}", "stoi", f"{stats.stoi:.4f}"])
-    writer.writerow(["overall", "", "ssnr_db", f"{report.ssnr_db:.4f}"])
-    writer.writerow(["overall", "", "stoi", f"{report.stoi:.4f}"])
-    for utterance_id in report.missing:
+    for noise, snr_text, means in rows + [("overall", "", overall)]:
+        for name, value in means.items():
+            writer.writerow([noise, snr_text, name, f"{value:.4f}"])
+    for utterance_id in missing:
         writer.writerow(["missing", "", "utterance", utterance_id])
-    for utterance_id in report.failed:
-        writer.writerow(["failed", "", "utterance", utterance_id])
+    for path, _ in failed:
+        writer.writerow(["failed", "", "utterance", path.stem])
     return buf.getvalue()

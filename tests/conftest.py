@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as the benchmark runs: set before anything imports numpy,
+# so float sums in this process match those of the child processes it starts.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

@@ -255,11 +255,14 @@ class TestPrepare:
         assert code == 1
         assert not (tmp_path / "out" / "manifest.tsv").exists()
 
-    @pytest.mark.parametrize("case", ["rate", "truncated", "short"])
+    @pytest.mark.parametrize(
+        "case", ["rate", "truncated", "short", "empty-noise", "zero-noise", "zero-clean"]
+    )
     def test_bad_wav_named_once(self, env, tmp_path, case):
-        clean_dir = tmp_path / "clean"
+        clean_dir, noise_dir = tmp_path / "clean", tmp_path / "noise"
         shutil.copytree(env["clean_dir"], clean_dir)
-        bad = clean_dir / "bad.wav"
+        shutil.copytree(env["noise_dir"], noise_dir)
+        bad = (noise_dir if case.endswith("noise") else clean_dir) / "bad.wav"
         if case == "rate":
             write_wav(bad, harmonic_voice(0.6, 8000, seed=3))
             reason = "sample rate 8000 Hz, expected 16000 Hz"
@@ -267,14 +270,30 @@ class TestPrepare:
             # Two frames: too few for the six-frame noise-aware estimate.
             write_wav(bad, Waveform(harmonic_voice(1.0, 16000, seed=3).samples[:1000]))
             reason = "1000 samples is too short: training needs at least 1792 samples (6 frames)"
-        else:
+        elif case == "truncated":
             write_wav(bad, harmonic_voice(1.0, 16000, seed=3))
             bad.write_bytes(bad.read_bytes()[:-1])
             reason = "sample data ends mid-sample"
-        result = run_child("prepare", str(clean_dir), str(env["noise_dir"]), str(tmp_path / "out"))
-        assert_one_line_error(result, f"{bad}: {reason}")
+        else:
+            write_wav(bad, Waveform(np.zeros(0 if case == "empty-noise" else 16000), 16000))
+            reason = "no nonzero sample"
+        result = run_child("prepare", str(clean_dir), str(noise_dir), str(tmp_path / "out"))
+        assert_one_line_error(result, f"error: {bad}: {reason}")
         assert result.stderr.count(str(bad)) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_silent_noise_segment_names_the_pair(self, env, tmp_path):
+        # One nonzero sample in 30 s of noise: most drawn offsets give a
+        # clean-length segment that is all zeros.
+        noise_dir = tmp_path / "noise"
+        samples = np.zeros(30 * 16000)
+        samples[0] = 0.5
+        write_wav(noise_dir / "click.wav", Waveform(samples, 16000))
+        result = run_child("prepare", str(env["clean_dir"]), str(noise_dir), str(tmp_path / "out"))
+        assert_one_line_error(
+            result, str(env["clean_dir"] / "v0.wav"), str(noise_dir / "click.wav"),
+            "noise segment is silent",
+        )
 
     def test_seed_flag_overrides_config(self, env, tmp_path):
         out = tmp_path / "seeded"
@@ -557,6 +576,16 @@ class TestEvaluate:
             str(tmp_path / "x.csv"),
         ])
         assert code == 1
+
+    def test_nothing_to_score(self, env, tmp_path):
+        # The enhanced directory holds WAVs, but none of the test split's.
+        elsewhere = tmp_path / "elsewhere"
+        write_wav(elsewhere / "other.wav", harmonic_voice(0.6, 16000, seed=9))
+        out_csv = tmp_path / "none.csv"
+        result = run_child("evaluate", str(env["corpus"]), str(elsewhere), str(out_csv))
+        assert result.returncode == 1
+        assert "error: no enhanced utterance of split 'test' could be scored" in result.stderr.splitlines()
+        assert not out_csv.exists()
 
 
 class TestDistortionProfile:

@@ -11,7 +11,6 @@ from specjoint import (
     MixSpec,
     Waveform,
     distortion_profile,
-    evaluate_condition,
     profile_csv,
     report_csv,
     ssnr,
@@ -229,45 +228,48 @@ def eval_setup(tmp_path_factory):
     return entries, enhanced_dir
 
 
+def evaluate(entries, enhanced_dir):
+    """The evaluate command's pass: score every pair, then average per condition and overall."""
+    scored, missing, failed = metrics.score_pairs(entries, enhanced_dir, metrics.ssnr_stoi)
+    return scored, missing, failed, metrics.condition_means(scored)
+
+
 class TestEvaluateCondition:
     def test_perfect_enhancement_maxes_metrics(self, eval_setup):
         entries, enhanced_dir = eval_setup
-        report = evaluate_condition(entries, enhanced_dir)
-        assert report.n_utterances == 3
-        assert report.ssnr_db == 35.0
-        assert report.stoi >= 0.999
-        assert report.complete
+        scored, missing, failed, (_, overall) = evaluate(entries, enhanced_dir)
+        assert len(scored) == 3
+        assert overall["ssnr_db"] == 35.0
+        assert overall["stoi"] >= 0.999
+        assert not missing and not failed
 
     def test_per_condition_grouping(self, eval_setup):
         entries, enhanced_dir = eval_setup
-        report = evaluate_condition(entries, enhanced_dir)
-        assert set(report.per_condition) == {("white", 0.0), ("white", 10.0), ("hum", 0.0)}
-        assert report.per_condition[("white", 0.0)].n_utterances == 1
+        scored, _, _, (per_condition, _) = evaluate(entries, enhanced_dir)
+        assert set(per_condition) == {("white", 0.0), ("white", 10.0), ("hum", 0.0)}
+        # entries[0] is the only white 0 dB utterance, so its mean is its score.
+        assert per_condition[("white", 0.0)] == next(s for e, s in scored if e == entries[0])
 
     def test_order_independent(self, eval_setup):
         entries, enhanced_dir = eval_setup
-        a = evaluate_condition(entries, enhanced_dir)
-        b = evaluate_condition(list(reversed(entries)), enhanced_dir)
-        assert a.ssnr_db == b.ssnr_db and a.stoi == b.stoi
+        a = evaluate(entries, enhanced_dir)
+        b = evaluate(list(reversed(entries)), enhanced_dir)
+        assert a[3] == b[3]
+        assert report_csv(*a[:3]) == report_csv(*b[:3])
 
     def test_missing_files_reported(self, eval_setup):
         entries, enhanced_dir = eval_setup
         extra = MixSpec(entries[0].clean_path, Path("pink.wav"), 5.0, 0, "test")
-        report = evaluate_condition(entries + [extra], enhanced_dir)
-        assert report.missing == [extra.utterance_id]
-        assert not report.complete
-        assert report.n_utterances == 3
-
-    def test_nothing_to_evaluate(self, eval_setup, tmp_path):
-        entries, _ = eval_setup
-        with pytest.raises(MetricError, match="no enhanced utterances"):
-            evaluate_condition(entries, tmp_path)
+        scored, missing, failed, _ = evaluate(entries + [extra], enhanced_dir)
+        assert missing == [extra.utterance_id]
+        assert not failed
+        assert len(scored) == 3
 
     def test_report_csv_layout(self, eval_setup):
         entries, enhanced_dir = eval_setup
         extra = MixSpec(entries[0].clean_path, Path("pink.wav"), 5.0, 0, "test")
-        report = evaluate_condition(entries + [extra], enhanced_dir)
-        lines = report_csv(report).splitlines()
+        scored, missing, failed, _ = evaluate(entries + [extra], enhanced_dir)
+        lines = report_csv(scored, missing, failed).splitlines()
         assert lines[0] == "noise,snr_db,metric,value"
         assert lines[1] == "hum,0,ssnr_db,35.0000"
         assert lines[2].startswith("hum,0,stoi,")
@@ -275,3 +277,33 @@ class TestEvaluateCondition:
         assert lines[-3] == "overall,,ssnr_db,35.0000"
         assert lines[-2].startswith("overall,,stoi,")
         assert lines[-1] == f"missing,,utterance,{extra.utterance_id}"
+
+
+class TestReportCsv:
+    def test_any_named_score_gets_rows(self):
+        """A third score needs no code change, and every mean matches numpy's."""
+        rng = np.random.default_rng(7)
+        conditions = [("white", 10.0), ("babble", -5.0), ("white", 0.0), ("babble", 5.0)]
+        scored = []
+        for i in range(12):
+            noise, snr_db = conditions[i % len(conditions)]
+            entry = MixSpec(Path(f"v{i:02d}.wav"), Path(f"{noise}.wav"), snr_db, i, "test")
+            scores = {"ssnr_db": rng.normal(5, 3), "stoi": rng.uniform(), "lsd_db": rng.normal(9, 2)}
+            scored.append((entry, scores))
+        scored.sort(key=lambda pair: pair[0].utterance_id)
+        failed = [(Path("enh/v99__white__snr0dB.wav"), "too short")]
+        lines = report_csv(scored, ["v98__white__snr0dB"], failed).splitlines()
+
+        expected = ["noise,snr_db,metric,value"]
+        names = ["ssnr_db", "stoi", "lsd_db"]
+        for noise, snr_db in sorted(set(conditions)):
+            rows = [s for e, s in scored if (e.noise_path.stem, e.snr_db) == (noise, snr_db)]
+            for name in names:
+                value = np.mean(np.array([row[name] for row in rows]))
+                expected.append(f"{noise},{snr_db:g},{name},{value:.4f}")
+        for name in names:
+            value = np.mean(np.array([row[name] for _, row in scored]))
+            expected.append(f"overall,,{name},{value:.4f}")
+        expected += ["missing,,utterance,v98__white__snr0dB", "failed,,utterance,v99__white__snr0dB"]
+        assert lines == expected
+        assert sum(",lsd_db," in line for line in lines) == 5
