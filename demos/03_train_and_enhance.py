@@ -50,7 +50,7 @@ model = init_model(
 history = train(
     model, data, TrainConfig(epochs=25, batch_size=64, learning_rate=0.003, seed=12)
 )
-print(f"training loss {history[0].train.total:.3f} -> {history[-1].train.total:.3f}")
+print(f"training loss {history[0].train['total']:.3f} -> {history[-1].train['total']:.3f}")
 
 # Enhance one test utterance twice: straight network output, then with
 # the three-way gate that trusts the noisy bins the mask calls speech.

@@ -125,31 +125,17 @@ def cmd_prepare(args) -> int:
 
 
 def _history_csv(history: list[EpochStats]) -> str:
-    def cell(value) -> str:
-        return "" if value is None else f"{value:.10g}"
-
-    lines = [
-        "epoch,learning_rate,train_total,train_lps,train_mfcc,train_ibm,"
-        "val_total,val_lps,val_mfcc,val_ibm"
-    ]
+    """One row per epoch; a cell is empty for an absent head or validation split."""
+    names = ("total",) + tuple(kind.name.lower() for kind in FeatureKind)
+    columns = [f"{split}_{name}" for split in ("train", "val") for name in names]
+    lines = [",".join(["epoch", "learning_rate", *columns])]
     for item in history:
-        val = item.val
-        lines.append(
-            ",".join(
-                [
-                    str(item.epoch),
-                    f"{item.learning_rate:.10g}",
-                    cell(item.train.total),
-                    cell(item.train.lps),
-                    cell(item.train.mfcc),
-                    cell(item.train.ibm),
-                    cell(val.total if val else None),
-                    cell(val.lps if val else None),
-                    cell(val.mfcc if val else None),
-                    cell(val.ibm if val else None),
-                ]
-            )
-        )
+        cells = [
+            f"{losses[name]:.10g}" if name in losses else ""
+            for losses in (item.train, item.val or {})
+            for name in names
+        ]
+        lines.append(",".join([str(item.epoch), f"{item.learning_rate:.10g}", *cells]))
     return "\n".join(lines) + "\n"
 
 
@@ -193,9 +179,7 @@ def cmd_train(args) -> int:
     )
     exit_code = 0
     try:
-        history = train(
-            model, train_data, config.train_config(), val_data, restore_best=True, log=log.info
-        )
+        history = train(model, train_data, config.train_config(), val_data, log=log.info)
     except TrainingDivergedError as exc:
         history = exc.history
         log.error("%s; keeping last finite parameters", exc)

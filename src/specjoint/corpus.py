@@ -141,11 +141,15 @@ def mix_at_snr(
     segment = noise.samples[indices]
     clean_power = np.mean(clean.samples**2)
     noise_power = np.mean(segment**2)
-    if clean_power == 0.0:
+    # Below the smallest normal double a power has lost its precision, so
+    # the SNR it would set is wrong: count it as silence.
+    if clean_power < np.finfo(np.float64).tiny:
         raise ScalingError("clean signal is silent; cannot set an SNR")
-    if noise_power == 0.0:
+    if noise_power < np.finfo(np.float64).tiny:
         raise ScalingError("noise segment is silent; cannot set an SNR")
     gain = np.sqrt(clean_power / (noise_power * 10.0 ** (snr_db / 10.0)))
+    if not np.isfinite(gain):
+        raise ScalingError(f"noise segment is too quiet to reach {snr_db:g} dB SNR")
     scaled = segment * gain
     return (
         Waveform(clean.samples + scaled, clean.sample_rate),

@@ -132,8 +132,8 @@ def stoi(reference: Waveform, test: Waveform) -> float:
     -15 dB signal-to-distortion ratio. Higher is more intelligible;
     identical signals score 1.
     """
-    ref, tst = _aligned(reference, test)
-    ref = _resample_to_stoi_rate(ref, reference.sample_rate)
+    aligned, tst = _aligned(reference, test)
+    ref = _resample_to_stoi_rate(aligned, reference.sample_rate)
     tst = _resample_to_stoi_rate(tst, reference.sample_rate)
     ref, tst = _remove_silent_frames(ref, tst)
     ref_env = _band_envelopes(ref)
@@ -144,6 +144,8 @@ def stoi(reference: Waveform, test: Waveform) -> float:
             f"only {n_frames} active frames; need at least {STOI_SEGMENT} "
             "(roughly half a second of speech)"
         )
+    if np.all(aligned == aligned[0]):
+        raise MetricError("reference is constant; STOI needs a reference that varies")
     clip_gain = 10.0 ** (-STOI_CLIP_DB / 20.0)
     # One (band, frame) block per 30-frame segment: segments x bands x 30.
     x = np.lib.stride_tricks.sliding_window_view(ref_env, STOI_SEGMENT, axis=0)

@@ -6,7 +6,8 @@ heads (log-power, cepstra) use a per-sample normalized squared error; the
 mask head uses a plain squared error. Training is mini-batch SGD with
 momentum, inverted dropout on the hidden activations, and a linearly
 decaying learning rate. Parameters are stored in float32; loss values are
-accumulated in float64.
+accumulated in float64 and reported as a dict from name to value: "total"
+first, then one entry per head, named after its feature kind in lower case.
 """
 
 import struct
@@ -108,41 +109,23 @@ class TrainConfig:
         return self.learning_rate * (1.0 - (1.0 - self.lr_final_fraction) * frac)
 
 
-@dataclass
-class LossReport:
-    """Per-head loss values; the total folds in the head weights."""
-
-    total: float
-    lps: float
-    mfcc: float | None = None
-    ibm: float | None = None
-
-    def as_dict(self) -> dict[str, float]:
-        out = {"total": self.total, "lps": self.lps}
-        if self.mfcc is not None:
-            out["mfcc"] = self.mfcc
-        if self.ibm is not None:
-            out["ibm"] = self.ibm
-        return out
-
-    @classmethod
-    def mean(cls, weighted: Iterable[tuple["LossReport", int]]) -> "LossReport":
-        """Row-weighted mean of (report, rows) pairs, summed in the order given."""
-        totals: dict[str, float] = {}
-        rows = 0
-        for report, n in weighted:
-            for key, value in report.as_dict().items():
-                totals[key] = totals.get(key, 0.0) + value * n
-            rows += n
-        return cls(**{key: value / rows for key, value in totals.items()})
+def mean_losses(weighted: Iterable[tuple[dict[str, float], int]]) -> dict[str, float]:
+    """Row-weighted mean of (losses, rows) pairs, summed in the order given."""
+    totals: dict[str, float] = {}
+    rows = 0
+    for losses, n in weighted:
+        for key, value in losses.items():
+            totals[key] = totals.get(key, 0.0) + value * n
+        rows += n
+    return {key: value / rows for key, value in totals.items()}
 
 
 @dataclass
 class EpochStats:
     epoch: int
     learning_rate: float
-    train: LossReport
-    val: LossReport | None
+    train: dict[str, float]
+    val: dict[str, float] | None
 
 
 def head_layout(variant: Variant, lps_dims: int, mfcc_dims: int) -> tuple[HeadSpec, ...]:
@@ -225,25 +208,19 @@ def predict(model: Model, inputs: np.ndarray) -> dict[FeatureKind, np.ndarray]:
     return {h.kind: outputs[:, h.offset : h.offset + h.width] for h in model.heads}
 
 
-def _head_weight(kind: FeatureKind, alpha: float, beta: float) -> float:
-    if kind == FeatureKind.LPS:
-        return 1.0
-    if kind == FeatureKind.MFCC:
-        return alpha
-    return beta
-
-
 def loss_and_output_grad(
     model: Model, outputs: np.ndarray, batch: TrainingData, alpha: float, beta: float
-) -> tuple[LossReport, np.ndarray]:
+) -> tuple[dict[str, float], np.ndarray]:
     """Multi-objective loss and its gradient with respect to the outputs.
 
     Spectral heads: mean over the batch of ||pred - target||^2 / ||target||^2,
     the denominator floored at 1e-8. Mask head: mean of ||pred - target||^2.
-    Total = lps + alpha * mfcc + beta * ibm over the heads present.
+    Total = lps + alpha * mfcc + beta * ibm over the heads present, summed
+    in head order.
     """
     n = outputs.shape[0]
-    values: dict[FeatureKind, float] = {}
+    head_weights = {FeatureKind.LPS: 1.0, FeatureKind.MFCC: alpha, FeatureKind.IBM: beta}
+    losses = {"total": 0.0}
     grad = np.zeros_like(outputs)
     for spec in model.heads:
         pred = outputs[:, spec.offset : spec.offset + spec.width]
@@ -255,23 +232,14 @@ def loss_and_output_grad(
             denom = np.maximum(
                 np.sum(target.astype(np.float64) ** 2, axis=1, keepdims=True), LOSS_NORM_FLOOR
             )
-        values[spec.kind] = float(np.mean(np.sum(diff64**2, axis=1) / denom[:, 0]))
-        weight = _head_weight(spec.kind, alpha, beta)
+        loss = float(np.mean(np.sum(diff64**2, axis=1) / denom[:, 0]))
+        weight = head_weights[spec.kind]
+        losses[spec.kind.name.lower()] = loss
+        losses["total"] += weight * loss
         grad[:, spec.offset : spec.offset + spec.width] = (
             2.0 * weight / n * diff64 / denom
         ).astype(outputs.dtype)
-    total = (
-        values[FeatureKind.LPS]
-        + alpha * values.get(FeatureKind.MFCC, 0.0)
-        + beta * values.get(FeatureKind.IBM, 0.0)
-    )
-    report = LossReport(
-        total=total,
-        lps=values[FeatureKind.LPS],
-        mfcc=values.get(FeatureKind.MFCC),
-        ibm=values.get(FeatureKind.IBM),
-    )
-    return report, grad
+    return losses, grad
 
 
 def backward(
@@ -296,11 +264,11 @@ def backward(
     return grad_w, grad_b
 
 
-def batch_loss(model: Model, batch: TrainingData, alpha: float, beta: float) -> LossReport:
+def batch_loss(model: Model, batch: TrainingData, alpha: float, beta: float) -> dict[str, float]:
     """Loss on a batch without dropout; used for validation."""
     cache = _forward(model, batch.inputs)
-    report, _ = loss_and_output_grad(model, cache.outputs, batch, alpha, beta)
-    return report
+    losses, _ = loss_and_output_grad(model, cache.outputs, batch, alpha, beta)
+    return losses
 
 
 @dataclass
@@ -338,10 +306,10 @@ def sgd_step(
 
 def _dataset_loss(
     model: Model, data: TrainingData, alpha: float, beta: float, chunk: int = 4096
-) -> LossReport:
+) -> dict[str, float]:
     """Average loss over a whole split, computed in bounded-size chunks."""
     chunks = (data.take(slice(start, start + chunk)) for start in range(0, data.n_rows, chunk))
-    return LossReport.mean((batch_loss(model, part, alpha, beta), part.n_rows) for part in chunks)
+    return mean_losses((batch_loss(model, part, alpha, beta), part.n_rows) for part in chunks)
 
 
 def train(
@@ -349,7 +317,6 @@ def train(
     train_data: TrainingData,
     config: TrainConfig,
     val_data: TrainingData | None = None,
-    restore_best: bool = False,
     log=None,
 ) -> list[EpochStats]:
     """Run mini-batch SGD in place on the model; returns per-epoch statistics.
@@ -358,8 +325,8 @@ def train(
     drawn from generators derived from it. A non-finite loss aborts the run
     and rolls the model back to the start of the epoch that diverged, so the
     parameters stay usable; the partial history is attached to the raised
-    error. With restore_best, the parameters from the best-validation epoch
-    are restored at the end.
+    error. With validation rows, the parameters from the best-validation
+    epoch are restored at the end.
     """
     if train_data.variant != model.variant:
         raise ValueError(
@@ -373,39 +340,38 @@ def train(
     for epoch in range(config.epochs):
         lr = config.learning_rate_at(epoch)
         epoch_start = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
-        reports: list[tuple[LossReport, int]] = []
+        weighted: list[tuple[dict[str, float], int]] = []
         for batch in assemble_batches(train_data, config.batch_size, config.seed + epoch):
             cache = _forward(model, batch.inputs, config.dropout, dropout_rng)
-            report, output_grad = loss_and_output_grad(
+            losses, output_grad = loss_and_output_grad(
                 model, cache.outputs, batch, config.alpha, config.beta
             )
-            if not np.isfinite(report.total):
+            if not np.isfinite(losses["total"]):
                 model.weights, model.biases = epoch_start
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}; lower the learning rate", history
                 )
             grads = backward(model, cache, output_grad)
             sgd_step(model, grads, state, lr, config.momentum)
-            reports.append((report, batch.n_rows))
-        train_report = LossReport.mean(reports)
-        val_report = None
+            weighted.append((losses, batch.n_rows))
+        train_losses = mean_losses(weighted)
+        val_losses = None
         if val_data is not None and val_data.n_rows > 0:
-            val_report = _dataset_loss(model, val_data, config.alpha, config.beta)
-            if val_report.total < best_val:
-                best_val = val_report.total
-                if restore_best:
-                    best_params = (
-                        [w.copy() for w in model.weights],
-                        [b.copy() for b in model.biases],
-                    )
-        stats = EpochStats(epoch + 1, lr, train_report, val_report)
+            val_losses = _dataset_loss(model, val_data, config.alpha, config.beta)
+            if val_losses["total"] < best_val:
+                best_val = val_losses["total"]
+                best_params = (
+                    [w.copy() for w in model.weights],
+                    [b.copy() for b in model.biases],
+                )
+        stats = EpochStats(epoch + 1, lr, train_losses, val_losses)
         history.append(stats)
         if log is not None:
-            msg = f"epoch {stats.epoch}/{config.epochs} lr={lr:.6f} train={train_report.total:.6f}"
-            if val_report is not None:
-                msg += f" val={val_report.total:.6f}"
+            msg = f"epoch {stats.epoch}/{config.epochs} lr={lr:.6f} train={train_losses['total']:.6f}"
+            if val_losses is not None:
+                msg += f" val={val_losses['total']:.6f}"
             log(msg)
-    if restore_best and best_params is not None:
+    if best_params is not None:
         model.weights = best_params[0]
         model.biases = best_params[1]
     return history

@@ -105,7 +105,7 @@ def loop_post_process(
 def model_loss(model: Model, batch: TrainingData, alpha: float, beta: float) -> float:
     outputs = _forward(model, batch.inputs).outputs
     report, _ = loss_and_output_grad(model, outputs, batch, alpha, beta)
-    return report.total
+    return report["total"]
 
 
 def fd_gradient(

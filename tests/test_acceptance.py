@@ -213,7 +213,7 @@ def test_criterion_2_loss_arithmetic(report):
     batch = dense_rows(inputs=np.zeros((1, 2)), targets_lps=np.array([[3.0, 4.0]]))
     zero_est, _ = loss_and_output_grad(head_only, np.zeros((1, 2)), batch, 0.1, 0.002)
     part_est, _ = loss_and_output_grad(head_only, np.array([[3.0, 0.0]]), batch, 0.1, 0.002)
-    ok = abs(zero_est.lps - 1.0) <= 1e-12 and abs(part_est.lps - 0.64) <= 1e-12
+    ok = abs(zero_est["lps"] - 1.0) <= 1e-12 and abs(part_est["lps"] - 0.64) <= 1e-12
 
     variant = Variant.parse("mfcc+ibm")
     data = random_training_data(variant, 64, 12, 5, 3, seed=2)
@@ -228,8 +228,8 @@ def test_criterion_2_loss_arithmetic(report):
         for batch in assemble_batches(data, config.batch_size, shuffle_seed=epoch):
             cache = _forward(model, batch.inputs, dropout=config.dropout, rng=dropout_rng)
             rep, grad = loss_and_output_grad(model, cache.outputs, batch, 0.1, 0.002)
-            recomposed = rep.lps + 0.1 * rep.mfcc + 0.002 * rep.ibm
-            worst = max(worst, abs(rep.total - recomposed))
+            recomposed = rep["lps"] + 0.1 * rep["mfcc"] + 0.002 * rep["ibm"]
+            worst = max(worst, abs(rep["total"] - recomposed))
             sgd_step(model, backward(model, cache, grad), momentum, rate, config.momentum)
             batches += 1
     ok = ok and worst <= 1e-12
@@ -348,7 +348,7 @@ def test_criterion_6_training_smoke(corpus_env, models, report):
     t0 = time.perf_counter()
     corpus_dir, entries, _ = corpus_env
     model, history = models["baseline"]
-    first, last = history[0].train.total, history[-1].train.total
+    first, last = history[0].train["total"], history[-1].train["total"]
     at_zero = _test_entries(entries, snr_db=0.0)
     noisy_scores = [
         ssnr(

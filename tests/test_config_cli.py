@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import specjoint
 from specjoint import (
     ConfigError,
+    EpochStats,
     FeatureKind,
     FeatureMatrix,
     HeadSpec,
@@ -23,7 +24,9 @@ from specjoint import (
     StftConfig,
     Variant,
     Waveform,
+    init_model,
     load_model,
+    loss_and_output_grad,
     mel_bank,
     read_manifest,
     read_wav,
@@ -32,9 +35,11 @@ from specjoint import (
     write_wav,
 )
 from specjoint import corpus as corpus_mod
-from specjoint.cli import main
+from specjoint.cli import _history_csv, main
 from specjoint.dsp import WINDOW_NAMES
 from specjoint.synth import harmonic_voice, white_noise
+
+from oracles import dense_rows
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -353,6 +358,64 @@ class TestTrain:
     def test_unknown_variant_rejected_by_parser(self, env):
         with pytest.raises(SystemExit):
             main(["train", "--variant", "bogus", str(env["corpus"]), "x.sjnn"])
+
+
+def row_losses(variant: Variant, lps, mfcc=None, ibm=None):
+    """Losses of one hand-picked output row against the targets (3, 4), (2,) and (0, 1).
+
+    LPS (0, 0) -> 1, (3, 0) -> 0.64, (3, 2) -> 0.16; MFCC (0,) -> 1, (1,) -> 0.25;
+    mask (1, 0) -> 2, (0.5, 1) -> 0.25.
+    """
+    model = init_model(variant, 1, {}, 0, 0, 2, 1, hidden_units=1, hidden_layers=1)
+    kinds = variant.head_kinds
+    batch = dense_rows(
+        inputs=np.zeros((1, 1)),
+        targets_lps=np.array([[3.0, 4.0]]),
+        targets_mfcc=np.array([[2.0]]) if FeatureKind.MFCC in kinds else None,
+        targets_ibm=np.array([[0.0, 1.0]]) if FeatureKind.IBM in kinds else None,
+    )
+    outputs = np.array([lps + (mfcc or []) + (ibm or [])])
+    return loss_and_output_grad(model, outputs, batch, 0.1, 0.002)[0]
+
+
+class TestHistoryCsv:
+    """The exact text of <checkpoint>.history.csv, header included."""
+
+    def test_baseline_without_validation(self):
+        history = [
+            EpochStats(1, 0.001, row_losses(Variant.BASELINE, [0.0, 0.0]), None),
+            EpochStats(2, 0.0001, row_losses(Variant.BASELINE, [3.0, 0.0]), None),
+        ]
+        assert _history_csv(history) == (
+            "epoch,learning_rate,train_total,train_lps,train_mfcc,train_ibm,"
+            "val_total,val_lps,val_mfcc,val_ibm\n"
+            "1,0.001,1,1,,,,,,\n"
+            "2,0.0001,0.64,0.64,,,,,,\n"
+        )
+
+    def test_joint_with_validation(self):
+        v = Variant.MFCC_IBM
+        history = [
+            EpochStats(
+                1,
+                0.001,
+                row_losses(v, [0.0, 0.0], [0.0], [1.0, 0.0]),
+                row_losses(v, [3.0, 0.0], [1.0], [0.5, 1.0]),
+            ),
+            EpochStats(
+                2,
+                0.00055,
+                row_losses(v, [3.0, 2.0], [1.0], [0.5, 1.0]),
+                row_losses(v, [3.0, 0.0], [0.0], [1.0, 0.0]),
+            ),
+        ]
+        # total = lps + 0.1 mfcc + 0.002 mask
+        assert _history_csv(history) == (
+            "epoch,learning_rate,train_total,train_lps,train_mfcc,train_ibm,"
+            "val_total,val_lps,val_mfcc,val_ibm\n"
+            "1,0.001,1.104,1,1,2,0.6655,0.64,0.25,0.25\n"
+            "2,0.00055,0.1855,0.16,0.25,0.25,0.744,0.64,1,2\n"
+        )
 
 
 class TestMalformedCorpus:

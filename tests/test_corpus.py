@@ -98,6 +98,42 @@ class TestMixAtSnr:
         with pytest.raises(ScalingError, match="noise segment is silent"):
             mix_at_snr(wave(np.ones(3)), noise, 0.0, noise_offset=1)
 
+    def test_subnormal_noise_power_raises(self):
+        # Power 1e-320 is subnormal: the gain it gives would miss the SNR.
+        with pytest.raises(ScalingError, match="noise segment is silent"):
+            mix_at_snr(wave([1e-10]), wave([1e-160]), 0.0)
+
+    def test_gain_overflow_raises(self):
+        with pytest.raises(ScalingError, match="too quiet to reach -10 dB"):
+            mix_at_snr(wave([1.0]), wave([2e-154]), -10.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=48).filter(any),
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(-10.0, 30.0),
+    )
+    def test_mix_properties(self, clean, noise, offset_fraction, snr_db):
+        offset = int(offset_fraction * len(noise))
+        segment = np.array([noise[(offset + i) % len(noise)] for i in range(len(clean))])
+        clean = np.array(clean)
+        clean_power, noise_power = np.mean(clean**2), np.mean(segment**2)
+        with np.errstate(over="ignore", divide="ignore"):
+            gain = np.sqrt(clean_power / (noise_power * 10.0 ** (snr_db / 10.0)))
+        # An all-zero segment, or a power too small to be a normal double,
+        # or a gain that overflows, is refused rather than mixed.
+        tiny = np.finfo(np.float64).tiny
+        if min(clean_power, noise_power) < tiny or not np.isfinite(gain):
+            with pytest.raises(ScalingError):
+                mix_at_snr(wave(clean), wave(noise), snr_db, noise_offset=offset)
+            return
+        noisy, scaled = mix_at_snr(wave(clean), wave(noise), snr_db, noise_offset=offset)
+        assert scaled.samples == pytest.approx(segment * gain, rel=1e-12, abs=0.0)
+        assert np.array_equal(noisy.samples, clean + scaled.samples)
+        achieved = 10.0 * np.log10(clean_power / np.mean(scaled.samples**2))
+        assert achieved == pytest.approx(snr_db, abs=1e-9)
+
     def test_rate_mismatch_raises(self):
         with pytest.raises(ValueError, match="sample rates differ"):
             mix_at_snr(wave(np.ones(4)), wave(np.ones(4), rate=8000), 0.0)

@@ -97,6 +97,14 @@ class TestStoi:
         with pytest.raises(MetricError, match="active frames"):
             stoi(wave(np.ones(3000)), wave(np.ones(3000)))
 
+    @pytest.mark.parametrize("length", [6349, 16000])
+    @pytest.mark.parametrize("level", [1.0, 0.3, -0.5])
+    def test_constant_reference_rejected(self, length, level):
+        # Long enough to pass the active-frame check; a DC reference has no
+        # envelope to correlate, so it must not score as intelligible.
+        with pytest.raises(MetricError, match="reference is constant"):
+            stoi(wave(np.full(length, level)), wave(np.full(length, level)))
+
     def test_rate_mismatch(self, speech_like):
         with pytest.raises(MetricError, match="sample rates differ"):
             stoi(speech_like, wave(np.zeros(8000), rate=8000))

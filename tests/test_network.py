@@ -8,7 +8,6 @@ from specjoint import (
     FeatureKind,
     FormatError,
     HeadSpec,
-    LossReport,
     Model,
     NormStats,
     TrainConfig,
@@ -20,6 +19,7 @@ from specjoint import (
     init_model,
     load_model,
     loss_and_output_grad,
+    mean_losses,
     predict,
     save_model,
     sgd_step,
@@ -241,22 +241,22 @@ class TestLoss:
 
     def test_perfect_prediction_is_zero(self):
         report, grad = self.loss_for([[1.0, 2.0]], [[1.0, 2.0]])
-        assert report.total == 0.0
+        assert report["total"] == 0.0
         assert np.all(grad == 0.0)
 
     def test_zero_estimate_normalizes_to_one(self):
         report, _ = self.loss_for([[0.0, 0.0, 0.0]], [[1.0, -2.0, 0.5]])
-        assert report.lps == pytest.approx(1.0, abs=1e-12)
+        assert report["lps"] == pytest.approx(1.0, abs=1e-12)
 
     def test_three_four_example(self):
         # ||(3,0)-(3,4)||^2 / ||(3,4)||^2 = 16/25.
         report, _ = self.loss_for([[3.0, 0.0]], [[3.0, 4.0]])
-        assert report.lps == pytest.approx(0.64, abs=1e-12)
+        assert report["lps"] == pytest.approx(0.64, abs=1e-12)
 
     def test_denominator_floor(self):
         # A silent target would divide by ~0; the floor keeps it finite.
         report, _ = self.loss_for([[1e-6, 0.0]], [[0.0, 0.0]])
-        assert report.lps == pytest.approx(1e-12 / 1e-8, rel=1e-9)
+        assert report["lps"] == pytest.approx(1e-12 / 1e-8, rel=1e-9)
 
     def test_mask_head_uses_plain_squared_error(self):
         heads = (HeadSpec(FeatureKind.LPS, 0, 2), HeadSpec(FeatureKind.IBM, 2, 2))
@@ -270,8 +270,8 @@ class TestLoss:
         )
         report, _ = loss_and_output_grad(model, outputs, batch, 0.1, 0.002)
         # Mask error (0.5-0)^2 + (1-1)^2 = 0.25 with no normalization.
-        assert report.ibm == pytest.approx(0.25, abs=1e-12)
-        assert report.total == pytest.approx(0.002 * 0.25, abs=1e-15)
+        assert report["ibm"] == pytest.approx(0.25, abs=1e-12)
+        assert report["total"] == pytest.approx(0.002 * 0.25, abs=1e-15)
 
     def test_unit_terms_weigh_to_default_total(self):
         # Each head contributing exactly 1 gives 1 + 0.1 + 0.002.
@@ -285,10 +285,10 @@ class TestLoss:
             targets_ibm=np.zeros((2, 5)),
         )
         report, _ = loss_and_output_grad(model, outputs, batch, 0.1, 0.002)
-        assert report.lps == pytest.approx(1.0, abs=1e-12)
-        assert report.mfcc == pytest.approx(1.0, abs=1e-12)
-        assert report.ibm == pytest.approx(1.0, abs=1e-12)
-        assert report.total == pytest.approx(1.102, abs=1e-12)
+        assert report["lps"] == pytest.approx(1.0, abs=1e-12)
+        assert report["mfcc"] == pytest.approx(1.0, abs=1e-12)
+        assert report["ibm"] == pytest.approx(1.0, abs=1e-12)
+        assert report["total"] == pytest.approx(1.102, abs=1e-12)
 
     def test_total_decomposes(self):
         model = as_float64(tiny_model(Variant.MFCC_IBM, seed=5))
@@ -296,7 +296,7 @@ class TestLoss:
         batch = one_batch(data)
         outputs = _forward(model, batch.inputs.astype(np.float64)).outputs
         report, _ = loss_and_output_grad(model, outputs, batch, 0.1, 0.002)
-        assert report.total == report.lps + 0.1 * report.mfcc + 0.002 * report.ibm
+        assert report["total"] == report["lps"] + 0.1 * report["mfcc"] + 0.002 * report["ibm"]
 
     def test_missing_targets_rejected(self):
         model = tiny_model(Variant.MFCC_IBM)
@@ -440,7 +440,7 @@ class TestTrain:
         assert len(history) == 3
         for w, w0 in zip(model.weights, before):
             assert np.array_equal(w, w0)
-        totals = [h.train.total for h in history]
+        totals = [h.train["total"] for h in history]
         assert totals[0] == totals[1] == totals[2]
 
     def test_fixed_seed_reproduces_run(self):
@@ -449,7 +449,7 @@ class TestTrain:
         for _ in range(2):
             model = tiny_model(seed=7)
             history = train(model, tiny_data(seed=7), config)
-            runs.append((model, [h.train.total for h in history]))
+            runs.append((model, [h.train["total"] for h in history]))
         assert runs[0][1] == runs[1][1]
         for wa, wb in zip(runs[0][0].weights, runs[1][0].weights):
             assert np.array_equal(wa, wb)
@@ -458,7 +458,7 @@ class TestTrain:
         model = tiny_model(Variant.BASELINE, seed=1)
         config = TrainConfig(epochs=20, batch_size=8, learning_rate=0.01, dropout=0.0, seed=1)
         history = train(model, tiny_data(seed=1), config)
-        assert history[-1].train.total < history[0].train.total
+        assert history[-1].train["total"] < history[0].train["total"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_history(self):
@@ -478,9 +478,9 @@ class TestTrain:
         model = tiny_model(seed=3)
         val = tiny_data(seed=99)
         config = TrainConfig(epochs=10, batch_size=8, learning_rate=0.02, seed=3)
-        history = train(model, tiny_data(seed=3), config, val_data=val, restore_best=True)
+        history = train(model, tiny_data(seed=3), config, val_data=val)
         recomputed = _dataset_loss(model, val, config.alpha, config.beta)
-        assert recomputed.total == min(h.val.total for h in history)
+        assert recomputed["total"] == min(h.val["total"] for h in history)
 
     def test_variant_mismatch_rejected(self):
         model = tiny_model(Variant.BASELINE)
@@ -492,7 +492,7 @@ class TestTrain:
         config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=6)
         history = train(model, tiny_data(seed=6), config, val_data=tiny_data(seed=8))
         assert all(h.val is not None for h in history)
-        assert all(h.val.total > 0.0 for h in history)
+        assert all(h.val["total"] > 0.0 for h in history)
 
 
 class TestCheckpoint:
@@ -602,11 +602,11 @@ class TestCheckpoint:
 class TestLossMean:
     def test_weights_by_rows(self):
         reports = [
-            (LossReport(total=1.0, lps=1.0, ibm=4.0), 1),
-            (LossReport(total=4.0, lps=2.0, ibm=1.0), 3),
+            ({"total": 1.0, "lps": 1.0, "ibm": 4.0}, 1),
+            ({"total": 4.0, "lps": 2.0, "ibm": 1.0}, 3),
         ]
-        mean = LossReport.mean(reports)
-        assert mean == LossReport(total=13.0 / 4, lps=7.0 / 4, mfcc=None, ibm=7.0 / 4)
+        mean = mean_losses(reports)
+        assert mean == {"total": 13.0 / 4, "lps": 7.0 / 4, "ibm": 7.0 / 4}
 
 
 class TestBatchLoss:
@@ -614,4 +614,4 @@ class TestBatchLoss:
         model = tiny_model(Variant.MFCC_IBM, seed=13)
         batch = one_batch(tiny_data(Variant.MFCC_IBM, seed=13))
         report = batch_loss(model, batch, 0.1, 0.002)
-        assert report.total == pytest.approx(model_loss(model, batch, 0.1, 0.002), rel=1e-12)
+        assert report["total"] == pytest.approx(model_loss(model, batch, 0.1, 0.002), rel=1e-12)
