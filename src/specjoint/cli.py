@@ -23,7 +23,7 @@ from .dsp import min_samples, stft
 from .enhance import enhance_waveform, write_diagnostics
 from .errors import SpecJointError, TrainingDivergedError
 from .features import FeatureKind, lps
-from .network import EpochStats, init_model, load_model, save_model, train
+from .network import LOSS_NAMES, EpochStats, init_model, load_model, save_model, train
 from .wavio import read_wav, write_wav
 
 log = logging.getLogger("specjoint")
@@ -126,14 +126,13 @@ def cmd_prepare(args) -> int:
 
 def _history_csv(history: list[EpochStats]) -> str:
     """One row per epoch; a cell is empty for an absent head or validation split."""
-    names = ("total",) + tuple(kind.name.lower() for kind in FeatureKind)
-    columns = [f"{split}_{name}" for split in ("train", "val") for name in names]
+    columns = [f"{split}_{name}" for split in ("train", "val") for name in LOSS_NAMES]
     lines = [",".join(["epoch", "learning_rate", *columns])]
     for item in history:
         cells = [
             f"{losses[name]:.10g}" if name in losses else ""
             for losses in (item.train, item.val or {})
-            for name in names
+            for name in LOSS_NAMES
         ]
         lines.append(",".join([str(item.epoch), f"{item.learning_rate:.10g}", *cells]))
     return "\n".join(lines) + "\n"

@@ -147,7 +147,8 @@ def mix_at_snr(
         raise ScalingError("clean signal is silent; cannot set an SNR")
     if noise_power < np.finfo(np.float64).tiny:
         raise ScalingError("noise segment is silent; cannot set an SNR")
-    gain = np.sqrt(clean_power / (noise_power * 10.0 ** (snr_db / 10.0)))
+    with np.errstate(over="ignore"):
+        gain = np.sqrt(clean_power / (noise_power * 10.0 ** (snr_db / 10.0)))
     if not np.isfinite(gain):
         raise ScalingError(f"noise segment is too quiet to reach {snr_db:g} dB SNR")
     scaled = segment * gain

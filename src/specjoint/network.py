@@ -26,6 +26,10 @@ CHECKPOINT_VERSION = 1
 
 LOSS_NORM_FLOOR = 1e-8
 
+# Keys of a loss dict: the weighted total, then one per head kind.
+HEAD_LOSS_NAMES = {kind: kind.name.lower() for kind in FeatureKind}
+LOSS_NAMES = ("total", *HEAD_LOSS_NAMES.values())
+
 DEFAULT_HIDDEN_UNITS = 2500
 DEFAULT_HIDDEN_LAYERS = 3
 
@@ -234,7 +238,7 @@ def loss_and_output_grad(
             )
         loss = float(np.mean(np.sum(diff64**2, axis=1) / denom[:, 0]))
         weight = head_weights[spec.kind]
-        losses[spec.kind.name.lower()] = loss
+        losses[HEAD_LOSS_NAMES[spec.kind]] = loss
         losses["total"] += weight * loss
         grad[:, spec.offset : spec.offset + spec.width] = (
             2.0 * weight / n * diff64 / denom
