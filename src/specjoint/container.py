@@ -25,7 +25,9 @@ def write_features(path: str | Path, features: FeatureMatrix) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     data = np.ascontiguousarray(features.data, dtype="<f4")
     header = _HEADER.pack(MAGIC, VERSION, int(features.kind), features.n_frames, features.dims)
-    path.write_bytes(header + data.tobytes())
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(data)
 
 
 def _unpack_header(raw: bytes, path) -> tuple[FeatureKind, int, int]:

@@ -6,6 +6,7 @@ containers, global normalization statistics fitted on the noisy training
 features, and the mixed noisy waveforms.
 """
 
+import contextlib
 import enum
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -342,7 +343,9 @@ def build_corpus(
 
     Writes the manifest, per-utterance feature containers, noisy waveforms,
     and normalization statistics fitted on the noisy train-split features
-    only. Deterministic for a fixed seed.
+    only. Deterministic for a fixed seed. A call that fails part-way removes
+    the files it wrote and the directories it created, and leaves whatever
+    was in the output directory before.
     """
     if not clean_paths:
         raise ConfigError("no clean utterances given")
@@ -352,41 +355,59 @@ def build_corpus(
     features_dir = out_dir / FEATURES_DIR
     noisy_dir = out_dir / NOISY_DIR
     stats_dir = out_dir / STATS_DIR
-    for sub in (features_dir, noisy_dir, stats_dir):
+    subdirs = (features_dir, noisy_dir, stats_dir)
+    created = sorted(
+        {d for sub in subdirs for d in (sub, *sub.parents) if not d.exists()},
+        key=lambda d: len(d.parts),
+    )
+    for sub in subdirs:
         sub.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []  # listed before each write, so a partial file goes too
+    try:
+        splits = assign_splits(clean_paths, val_fraction, test_fraction, seed)
+        rng = np.random.default_rng(seed + 1)
+        noises = {path: read_wav(path, expected_rate=sample_rate) for path in sorted(noise_paths)}
+        entries = []
+        lps_sum = _StreamingStats()
+        mfcc_sum = _StreamingStats()
+        # Offsets are drawn in a fixed (sorted) order so the manifest is
+        # byte-identical across runs with the same seed.
+        for clean_path in sorted(clean_paths):
+            clean = read_wav(clean_path, expected_rate=sample_rate)
+            for noise_path, noise in noises.items():
+                for snr_db in snr_grid:
+                    offset = int(rng.integers(0, len(noise)))
+                    split = splits[clean_path]
+                    entry = MixSpec(clean_path, noise_path, float(snr_db), offset, split)
+                    entries.append(entry)
+                    try:
+                        mix = extract_mixture_features(
+                            clean, noise, entry.snr_db, offset, stft_config, bank, ibm_config
+                        )
+                    except ScalingError as exc:
+                        raise ScalingError(
+                            f"{clean_path} with {noise_path} at offset {offset}: {exc}"
+                        ) from exc
+                    uid = entry.utterance_id
+                    written += [feature_path(features_dir, uid, name) for name in _FEATURE_FILES]
+                    write_mixture_features(features_dir, uid, mix)
+                    written.append(noisy_dir / f"{uid}.wav")
+                    write_wav(written[-1], mix.noisy)
+                    if entry.split == "train":
+                        lps_sum.add(mix.noisy_lps.data)
+                        mfcc_sum.add(mix.noisy_mfcc.data)
 
-    splits = assign_splits(clean_paths, val_fraction, test_fraction, seed)
-    rng = np.random.default_rng(seed + 1)
-    noises = {path: read_wav(path, expected_rate=sample_rate) for path in sorted(noise_paths)}
-    entries = []
-    lps_sum = _StreamingStats()
-    mfcc_sum = _StreamingStats()
-    # Offsets are drawn in a fixed (sorted) order so the manifest is
-    # byte-identical across runs with the same seed.
-    for clean_path in sorted(clean_paths):
-        clean = read_wav(clean_path, expected_rate=sample_rate)
-        for noise_path, noise in noises.items():
-            for snr_db in snr_grid:
-                offset = int(rng.integers(0, len(noise)))
-                entry = MixSpec(clean_path, noise_path, float(snr_db), offset, splits[clean_path])
-                entries.append(entry)
-                try:
-                    mix = extract_mixture_features(
-                        clean, noise, entry.snr_db, offset, stft_config, bank, ibm_config
-                    )
-                except ScalingError as exc:
-                    raise ScalingError(
-                        f"{clean_path} with {noise_path} at offset {offset}: {exc}"
-                    ) from exc
-                write_mixture_features(features_dir, entry.utterance_id, mix)
-                write_wav(noisy_dir / f"{entry.utterance_id}.wav", mix.noisy)
-                if entry.split == "train":
-                    lps_sum.add(mix.noisy_lps.data)
-                    mfcc_sum.add(mix.noisy_mfcc.data)
-
-    write_norm_stats(stats_dir / "lps.sjfm", lps_sum.finish(), FeatureKind.LPS)
-    write_norm_stats(stats_dir / "mfcc.sjfm", mfcc_sum.finish(), FeatureKind.MFCC)
-    write_manifest(out_dir / MANIFEST_NAME, entries)
+        written += [stats_dir / "lps.sjfm", stats_dir / "mfcc.sjfm", out_dir / MANIFEST_NAME]
+        write_norm_stats(stats_dir / "lps.sjfm", lps_sum.finish(), FeatureKind.LPS)
+        write_norm_stats(stats_dir / "mfcc.sjfm", mfcc_sum.finish(), FeatureKind.MFCC)
+        write_manifest(out_dir / MANIFEST_NAME, entries)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in reversed(created):
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     return entries
 
 

@@ -10,10 +10,13 @@ accumulated in float64 and reported as a dict from name to value: "total"
 first, then one entry per head, named after its feature kind in lower case.
 """
 
+import math
+import os
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -247,24 +250,31 @@ def loss_and_output_grad(
 
 
 def backward(
-    model: Model, cache: _ForwardCache, output_grad: np.ndarray
+    model: Model,
+    cache: _ForwardCache,
+    output_grad: np.ndarray,
+    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradient of the loss with respect to every weight and bias."""
+    """Gradient of the loss with respect to every weight and bias.
+
+    With `out`, a (weights, biases) pair of arrays shaped like the model's
+    parameters, the gradients are written into those arrays and `out` is
+    returned; without it, a new pair is allocated.
+    """
     n_layers = len(model.weights)
-    grad_w: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    grad_b: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    grad_w, grad_b = out if out is not None else ([None] * n_layers, [None] * n_layers)
     delta = output_grad
     prev = cache.activations[-1] if cache.activations else cache.inputs
-    grad_w[-1] = prev.T @ delta
-    grad_b[-1] = delta.sum(axis=0)
+    grad_w[-1] = np.matmul(prev.T, delta, out=grad_w[-1])
+    grad_b[-1] = delta.sum(axis=0, out=grad_b[-1])
     for i in range(n_layers - 2, -1, -1):
         delta = delta @ model.weights[i + 1].T
         if cache.dropout_masks[i] is not None:
             delta = delta * cache.dropout_masks[i]
         delta = delta * (cache.pre_activations[i] > 0)
         prev = cache.activations[i - 1] if i > 0 else cache.inputs
-        grad_w[i] = prev.T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        grad_w[i] = np.matmul(prev.T, delta, out=grad_w[i])
+        grad_b[i] = delta.sum(axis=0, out=grad_b[i])
     return grad_w, grad_b
 
 
@@ -316,6 +326,17 @@ def _dataset_loss(
     return mean_losses((batch_loss(model, part, alpha, beta), part.n_rows) for part in chunks)
 
 
+def _snapshot(
+    model: Model, into: tuple[list[np.ndarray], list[np.ndarray]] | None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The model's (weights, biases) copied into `into`, allocated when None."""
+    if into is None:
+        return [w.copy() for w in model.weights], [b.copy() for b in model.biases]
+    for dst, src in zip(into[0] + into[1], model.weights + model.biases):
+        np.copyto(dst, src)
+    return into
+
+
 def train(
     model: Model,
     train_data: TrainingData,
@@ -331,6 +352,11 @@ def train(
     parameters stay usable; the partial history is attached to the raised
     error. With validation rows, the parameters from the best-validation
     epoch are restored at the end.
+
+    Besides the parameters, a run holds four parameter-sized sets, each
+    allocated once: the momentum velocity, the epoch-start snapshot, one
+    gradient set that every step's backward pass overwrites, and, with
+    validation rows, the best-validation copy.
     """
     if train_data.variant != model.variant:
         raise ValueError(
@@ -338,12 +364,13 @@ def train(
         )
     dropout_rng = np.random.default_rng(config.seed + 0x5EED)
     state = _Momentum.zeros_like(model)
+    grads = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
     history: list[EpochStats] = []
     best_val = np.inf
-    best_params: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+    epoch_start = best_params = None
     for epoch in range(config.epochs):
         lr = config.learning_rate_at(epoch)
-        epoch_start = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+        epoch_start = _snapshot(model, epoch_start)
         weighted: list[tuple[dict[str, float], int]] = []
         for batch in assemble_batches(train_data, config.batch_size, config.seed + epoch):
             cache = _forward(model, batch.inputs, config.dropout, dropout_rng)
@@ -355,7 +382,7 @@ def train(
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}; lower the learning rate", history
                 )
-            grads = backward(model, cache, output_grad)
+            backward(model, cache, output_grad, out=grads)
             sgd_step(model, grads, state, lr, config.momentum)
             weighted.append((losses, batch.n_rows))
         train_losses = mean_losses(weighted)
@@ -364,10 +391,7 @@ def train(
             val_losses = _dataset_loss(model, val_data, config.alpha, config.beta)
             if val_losses["total"] < best_val:
                 best_val = val_losses["total"]
-                best_params = (
-                    [w.copy() for w in model.weights],
-                    [b.copy() for b in model.biases],
-                )
+                best_params = _snapshot(model, best_params)
         stats = EpochStats(epoch + 1, lr, train_losses, val_losses)
         history.append(stats)
         if log is not None:
@@ -376,13 +400,16 @@ def train(
                 msg += f" val={val_losses['total']:.6f}"
             log(msg)
     if best_params is not None:
-        model.weights = best_params[0]
-        model.biases = best_params[1]
+        model.weights, model.biases = best_params
     return history
 
 
 def save_model(path: str | Path, model: Model) -> None:
-    """Serialize the model to a little-endian binary checkpoint."""
+    """Serialize the model to a little-endian binary checkpoint.
+
+    The header is packed field by field; each array's buffer is then written
+    to the file as it is, with no intermediate copy of the parameters.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
@@ -401,76 +428,93 @@ def save_model(path: str | Path, model: Model) -> None:
     for spec in model.heads:
         parts.append(struct.pack("<BII", int(spec.kind), spec.offset, spec.width))
     parts.append(struct.pack("<B", len(model.stats)))
-    for kind in sorted(model.stats):
-        stats = model.stats[kind]
-        parts.append(struct.pack("<BI", int(kind), stats.dims))
-        parts.append(np.ascontiguousarray(stats.mean, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(stats.variance, dtype="<f8").tobytes())
-    for w, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
-    path.write_bytes(b"".join(parts))
+    with open(path, "wb") as handle:
+        handle.write(b"".join(parts))
+        for kind in sorted(model.stats):
+            stats = model.stats[kind]
+            handle.write(struct.pack("<BI", int(kind), stats.dims))
+            handle.write(np.ascontiguousarray(stats.mean, dtype="<f8"))
+            handle.write(np.ascontiguousarray(stats.variance, dtype="<f8"))
+        for w, b in zip(model.weights, model.biases):
+            handle.write(np.ascontiguousarray(w, dtype="<f4"))
+            handle.write(np.ascontiguousarray(b, dtype="<f4"))
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path: Path):
-        self.blob = blob
-        self.pos = 0
+    """Reads a checkpoint's fields in order from an open file.
+
+    Every field is checked against the bytes left in the file before it is
+    read, so a truncated or corrupt header cannot make it allocate more than
+    the file holds; arrays are read straight into their own buffers.
+    """
+
+    def __init__(self, handle: BinaryIO, path: Path):
+        self.handle = handle
         self.path = path
+        self.remaining = os.fstat(handle.fileno()).st_size
+
+    def _claim(self, n: int) -> None:
+        if n > self.remaining:
+            raise FormatError(f"{self.path}: checkpoint truncated")
+        self.remaining -= n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"{self.path}: checkpoint truncated")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self._claim(n)
+        return self.handle.read(n)
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def array(self, dtype: str, *shape: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        self._claim(dtype.itemsize * math.prod(shape))
+        out = np.empty(shape, dtype=dtype)
+        self.handle.readinto(out)
+        return out
+
 
 def load_model(path: str | Path) -> Model:
     path = Path(path)
-    reader = _Reader(path.read_bytes(), path)
-    if reader.take(4) != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a model checkpoint")
-    (version,) = reader.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    variant_code, tau, noise_aware_frames = reader.unpack("<BII")
-    if variant_code not in _CODE_VARIANTS:
-        raise FormatError(f"{path}: unknown variant code {variant_code}")
-    (n_layers,) = reader.unpack("<I")
-    shapes = [reader.unpack("<II") for _ in range(n_layers)]
-    for (_, out_prev), (in_next, _) in zip(shapes[:-1], shapes[1:]):
-        if out_prev != in_next:
-            raise FormatError(f"{path}: inconsistent layer shapes")
+    with open(path, "rb") as handle:
+        reader = _Reader(handle, path)
+        if reader.take(4) != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: not a model checkpoint")
+        (version,) = reader.unpack("<I")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        variant_code, tau, noise_aware_frames = reader.unpack("<BII")
+        if variant_code not in _CODE_VARIANTS:
+            raise FormatError(f"{path}: unknown variant code {variant_code}")
+        (n_layers,) = reader.unpack("<I")
+        shapes = [reader.unpack("<II") for _ in range(n_layers)]
+        for (_, out_prev), (in_next, _) in zip(shapes[:-1], shapes[1:]):
+            if out_prev != in_next:
+                raise FormatError(f"{path}: inconsistent layer shapes")
 
-    def feature_kind(code: int) -> FeatureKind:
-        try:
-            return FeatureKind(code)
-        except ValueError:
-            raise FormatError(f"{path}: unknown feature kind {code}") from None
+        def feature_kind(code: int) -> FeatureKind:
+            try:
+                return FeatureKind(code)
+            except ValueError:
+                raise FormatError(f"{path}: unknown feature kind {code}") from None
 
-    (n_heads,) = reader.unpack("<B")
-    heads = []
-    for _ in range(n_heads):
-        kind_code, offset, width = reader.unpack("<BII")
-        heads.append(HeadSpec(feature_kind(kind_code), offset, width))
-    (n_stats,) = reader.unpack("<B")
-    stats = {}
-    for _ in range(n_stats):
-        kind_code, dims = reader.unpack("<BI")
-        mean = np.frombuffer(reader.take(8 * dims), dtype="<f8").copy()
-        variance = np.frombuffer(reader.take(8 * dims), dtype="<f8").copy()
-        stats[feature_kind(kind_code)] = NormStats(mean, variance)
-    weights, biases = [], []
-    for fan_in, fan_out in shapes:
-        w = np.frombuffer(reader.take(4 * fan_in * fan_out), dtype="<f4").copy()
-        weights.append(w.reshape(fan_in, fan_out))
-        biases.append(np.frombuffer(reader.take(4 * fan_out), dtype="<f4").copy())
-    if reader.pos != len(reader.blob):
-        raise FormatError(f"{path}: {len(reader.blob) - reader.pos} trailing bytes")
+        (n_heads,) = reader.unpack("<B")
+        heads = []
+        for _ in range(n_heads):
+            kind_code, offset, width = reader.unpack("<BII")
+            heads.append(HeadSpec(feature_kind(kind_code), offset, width))
+        (n_stats,) = reader.unpack("<B")
+        stats = {}
+        for _ in range(n_stats):
+            kind_code, dims = reader.unpack("<BI")
+            mean = reader.array("<f8", dims)
+            variance = reader.array("<f8", dims)
+            stats[feature_kind(kind_code)] = NormStats(mean, variance)
+        weights, biases = [], []
+        for fan_in, fan_out in shapes:
+            weights.append(reader.array("<f4", fan_in, fan_out))
+            biases.append(reader.array("<f4", fan_out))
+    if reader.remaining:
+        raise FormatError(f"{path}: {reader.remaining} trailing bytes")
     return Model(
         _CODE_VARIANTS[variant_code], tau, noise_aware_frames, weights, biases, tuple(heads), stats
     )

@@ -300,6 +300,23 @@ class TestPrepare:
             "noise segment is silent",
         )
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_prepare_leaves_no_partial_corpus(self, tmp_path, existing):
+        # The first drawn offset gives the 0.6 s voice a silent noise segment.
+        clean_dir, noise_dir, out = tmp_path / "clean", tmp_path / "noise", tmp_path / "out"
+        write_wav(clean_dir / "v.wav", harmonic_voice(0.6, 16000, seed=1))
+        samples = np.zeros(30 * 16000)
+        samples[0] = 0.5
+        write_wav(noise_dir / "click.wav", Waveform(samples, 16000))
+        if existing:
+            (out / "noisy").mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        before = sorted(out.rglob("*"))
+        result = run_child("prepare", str(clean_dir), str(noise_dir), str(out))
+        assert_one_line_error(result, str(clean_dir / "v.wav"), "noise segment is silent")
+        assert out.exists() == existing
+        assert sorted(out.rglob("*")) == before
+
     def test_seed_flag_overrides_config(self, env, tmp_path):
         out = tmp_path / "seeded"
         code = main([

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specjoint import FeatureKind, FeatureMatrix, FormatError, read_features, write_features
 
@@ -84,3 +86,57 @@ def test_truncated_header(tmp_path):
     path.write_bytes(b"SJFM\x01")
     with pytest.raises(FormatError, match="truncated"):
         read_features(path)
+
+
+_MATRICES = st.builds(
+    lambda kind, n_frames, dims, seed: FeatureMatrix(
+        np.random.default_rng(seed).standard_normal((n_frames, dims)).astype(np.float32), kind
+    ),
+    st.sampled_from(list(FeatureKind)),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 2**16),
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=_MATRICES, cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_every_strict_prefix_is_rejected(scratch, matrix, cut):
+    path = scratch / "cut.sjfm"
+    write_features(path, matrix)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: int(cut * len(blob))])
+    with pytest.raises(FormatError) as err:
+        read_features(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    assert "truncated container" in message or "payload size" in message
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrix=_MATRICES, extra=st.binary(min_size=1, max_size=64))
+def test_appended_bytes_are_rejected(scratch, matrix, extra):
+    path = scratch / "long.sjfm"
+    write_features(path, matrix)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(FormatError) as err:
+        read_features(path)
+    assert str(err.value) == f"{path}: payload size {size + len(extra)} != expected {size}"
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrix=_MATRICES)
+def test_untouched_file_round_trips(scratch, matrix):
+    first, second = scratch / "first.sjfm", scratch / "second.sjfm"
+    write_features(first, matrix)
+    back = read_features(first)
+    write_features(second, back)
+    assert first.read_bytes() == second.read_bytes()
+    assert back.kind == matrix.kind
+    assert back.data.tobytes() == matrix.data.tobytes()

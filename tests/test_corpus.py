@@ -532,6 +532,45 @@ class TestBuildCorpus:
         assert data.targets_ibm.shape == (data.n_rows, 257)
         assert set(np.unique(data.targets_ibm)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize(
+        "failing, call", [("extract_mixture_features", 3), ("write_manifest", 1)]
+    )
+    def test_failure_removes_only_what_it_wrote(self, corpus, tmp_path, monkeypatch, failing, call):
+        # The third mixture fails after two were written, or the manifest
+        # fails after everything else was.
+        root, _, _ = corpus
+        out_dir = tmp_path / "out"
+        (out_dir / "noisy").mkdir(parents=True)
+        (out_dir / "notes.txt").write_text("kept")
+        (out_dir / "noisy" / "old.wav").write_bytes(b"kept")
+        before = sorted(out_dir.rglob("*"))
+        real = getattr(corpus_mod, failing)
+        calls = []
+
+        def fail_on_call(*args):
+            calls.append(args)
+            if len(calls) == call:
+                raise ScalingError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(corpus_mod, failing, fail_on_call)
+        with pytest.raises(ScalingError, match="injected failure"):
+            build_corpus(
+                sorted((root / "clean").glob("*.wav")),
+                sorted((root / "noise").glob("*.wav")),
+                out_dir,
+                StftConfig(),
+                mel_bank(),
+                IbmConfig(),
+                snr_grid=(10.0, 0.0),
+                val_fraction=0.0,
+                test_fraction=0.5,
+                seed=7,
+            )
+        assert len(calls) == call
+        assert sorted(out_dir.rglob("*")) == before
+        assert (out_dir / "noisy" / "old.wav").read_bytes() == b"kept"
+
     def test_empty_inputs_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no clean utterances"):
             build_corpus([], [Path("n.wav")], tmp_path, StftConfig(), mel_bank(), IbmConfig())

@@ -1,7 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specjoint import (
     ConfigError,
@@ -346,6 +349,23 @@ class TestBackward:
         assert np.array_equal(g1[:, lps_sl], g2[:, lps_sl])
 
 
+    def test_out_receives_the_allocated_gradients(self):
+        model = tiny_model(Variant.MFCC_IBM, seed=4)
+        batch = one_batch(tiny_data(Variant.MFCC_IBM, seed=4))
+        cache = _forward(model, batch.inputs, dropout=0.2, rng=np.random.default_rng(4))
+        _, output_grad = loss_and_output_grad(model, cache.outputs, batch, 0.1, 0.002)
+        fresh = backward(model, cache, output_grad)
+        out = (
+            [np.full_like(w, np.nan) for w in model.weights],
+            [np.full_like(b, np.nan) for b in model.biases],
+        )
+        arrays = out[0] + out[1]
+        returned = backward(model, cache, output_grad, out=out)
+        assert all(a is b for a, b in zip(returned[0] + returned[1], arrays))
+        for a, b in zip(fresh[0] + fresh[1], arrays):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestSgdStep:
     def scalar_model(self, w0=1.0):
         heads = (HeadSpec(FeatureKind.LPS, 0, 1),)
@@ -597,6 +617,105 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(FormatError, match="2 trailing bytes"):
             load_model(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    model = tiny_model(Variant.MFCC_IBM, seed=11, hidden_layers=1)
+    model.stats = {
+        FeatureKind.LPS: NormStats(np.arange(5.0), np.arange(1.0, 6.0)),
+        FeatureKind.MFCC: NormStats(np.array([0.5, -1.5, 2.5]), np.array([1.0, 2.0, 0.25])),
+    }
+    path = tmp_path_factory.mktemp("checkpoint") / "model.sjnn"
+    save_model(path, model)
+    return path
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_every_strict_prefix_is_truncated(self, checkpoint, cut):
+        blob = checkpoint.read_bytes()
+        path = checkpoint.with_name("cut.sjnn")
+        path.write_bytes(blob[: int(cut * len(blob))])
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: checkpoint truncated"
+
+    @settings(max_examples=50, deadline=None)
+    @given(extra=st.binary(min_size=1, max_size=300))
+    def test_appended_bytes_are_counted(self, checkpoint, extra):
+        path = checkpoint.with_name("long.sjnn")
+        path.write_bytes(checkpoint.read_bytes() + extra)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: {len(extra)} trailing bytes"
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        hidden_units=st.integers(1, 8),
+        hidden_layers=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        with_stats=st.booleans(),
+    )
+    def test_untouched_file_round_trips(
+        self, checkpoint, variant, hidden_units, hidden_layers, seed, with_stats
+    ):
+        model = tiny_model(variant, seed, hidden_units, hidden_layers)
+        rng = np.random.default_rng(seed)
+        model.biases = [rng.standard_normal(b.shape).astype(np.float32) for b in model.biases]
+        if with_stats:
+            model.stats[FeatureKind.LPS] = NormStats(rng.standard_normal(5), rng.random(5))
+        first, second = checkpoint.with_name("first.sjnn"), checkpoint.with_name("second.sjnn")
+        save_model(first, model)
+        back = load_model(first)
+        save_model(second, back)
+        assert first.read_bytes() == second.read_bytes()
+        assert (back.variant, back.tau, back.noise_aware_frames, back.heads) == (
+            model.variant, model.tau, model.noise_aware_frames, model.heads
+        )
+        for a, b in zip(back.weights + back.biases, model.weights + model.biases):
+            assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
+        assert back.stats.keys() == model.stats.keys()
+        for kind, stats in model.stats.items():
+            assert back.stats[kind].mean.tobytes() == stats.mean.tobytes()
+            assert back.stats[kind].variance.tobytes() == stats.variance.tobytes()
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc while run() executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def parameter_bytes(model) -> int:
+    return sum(a.nbytes for a in model.weights + model.biases)
+
+
+class TestMemory:
+    """Peak memory pins, in units of the model's parameter bytes; the 512-unit
+    hidden layers make the parameters dwarf everything else allocated."""
+
+    def test_load_holds_the_model_once(self, tmp_path):
+        model = tiny_model(hidden_units=512)
+        path = tmp_path / "model.sjnn"
+        save_model(path, model)
+        load_model(path)  # first-use allocations are not what this measures
+        assert traced_peak(lambda: load_model(path)) < 1.25 * parameter_bytes(model)
+
+    def test_train_holds_one_gradient_set(self):
+        # Velocity, the epoch-start snapshot and one gradient set come to 3x
+        # the parameters; a second live gradient set would pass 4x.
+        model = tiny_model(hidden_units=512)
+        data = tiny_data(n_rows=16)
+        config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=0)
+        train(tiny_model(), data, config)
+        assert traced_peak(lambda: train(model, data, config)) < 3.5 * parameter_bytes(model)
 
 
 class TestLossMean:
