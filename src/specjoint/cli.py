@@ -272,7 +272,7 @@ def cmd_distortion(args) -> int:
 
     def profile_of(clean, enhanced):
         clean_lps, enhanced_lps = lps(stft(clean, stft_config)), lps(stft(enhanced, stft_config))
-        return metrics_mod.distortion_profile(clean_lps, enhanced_lps)
+        return metrics_mod.distortion_profile(clean_lps.data, enhanced_lps.data)
 
     scored, missing, failed = _score_split(args, config, profile_of)
     profile = metrics_mod.DistortionProfile.empty(config.lps_dims)

@@ -27,7 +27,6 @@ from .features import (
     lps,
     mfcc,
     splice,
-    splice_indices,
 )
 from .wavio import read_wav, write_wav
 
@@ -159,9 +158,8 @@ def mix_at_snr(
     )
 
 
-def estimate_noise_aware_vector(features, k: int = DEFAULT_NOISE_AWARE_FRAMES) -> np.ndarray:
+def estimate_noise_aware_vector(data: np.ndarray, k: int = DEFAULT_NOISE_AWARE_FRAMES) -> np.ndarray:
     """Static noise estimate: per-dimension mean of the first k frames."""
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
     if not 1 <= k <= data.shape[0]:
         raise ValueError(f"need 1 <= k <= n_frames={data.shape[0]}, got k={k}")
     return data[:k].mean(axis=0)
@@ -191,7 +189,7 @@ class _StreamingStats:
         return NormStats(mean, variance)
 
 
-def fit_norm_stats(features: Iterable) -> NormStats:
+def fit_norm_stats(features: Iterable[np.ndarray]) -> NormStats:
     """Single-pass global mean/variance over all frames of all utterances.
 
     Uses the population (biased) variance convention, floored at 1e-8. The
@@ -200,7 +198,7 @@ def fit_norm_stats(features: Iterable) -> NormStats:
     """
     acc = _StreamingStats()
     for item in features:
-        acc.add(item.data if isinstance(item, FeatureMatrix) else np.asarray(item, dtype=np.float64))
+        acc.add(np.asarray(item, dtype=np.float64))
     return acc.finish()
 
 
@@ -420,22 +418,32 @@ def read_corpus_stats(corpus_dir: str | Path) -> dict[FeatureKind, NormStats]:
 
 
 def build_input_rows(
-    noisy_lps_norm: np.ndarray,
-    noisy_mfcc_norm: np.ndarray | None,
+    noisy_lps: np.ndarray,
+    noisy_mfcc: np.ndarray | None,
+    stats: dict[FeatureKind, NormStats],
     tau: int,
     noise_aware_frames: int,
-) -> np.ndarray:
-    """Spliced normalized noisy features plus the static noise-aware vector.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One utterance's network input, as a float32 frame store and its windows.
 
-    The noise-aware vector is the mean of the first noise_aware_frames rows
-    of the same normalized feature block, appended to every row.
+    The n rows of `frames` are the noisy LPS, then the MFCC when given, each
+    normalized with its stats; row n is the static noise-aware estimate, the
+    mean of the first noise_aware_frames normalized rows. Row i of `windows`
+    lists frames i-tau..i+tau, clamped at the utterance's edges, then n, so
+    frames[windows].reshape(n, -1) is the input matrix.
     """
-    feat = noisy_lps_norm
-    if noisy_mfcc_norm is not None:
-        feat = np.hstack([noisy_lps_norm, noisy_mfcc_norm])
-    spliced = splice(feat, tau)
+    feat = normalize(noisy_lps, stats[FeatureKind.LPS])
+    if noisy_mfcc is not None:
+        feat = np.hstack([feat, normalize(noisy_mfcc, stats[FeatureKind.MFCC])])
+    n = feat.shape[0]
     noise_vec = estimate_noise_aware_vector(feat, noise_aware_frames)
-    return np.hstack([spliced, np.tile(noise_vec, (feat.shape[0], 1))])
+    frames = np.empty((n + 1, feat.shape[1]), dtype=np.float32)
+    frames[:n] = feat
+    frames[n] = noise_vec
+    windows = np.empty((n, 2 * tau + 2), dtype=np.intp)
+    windows[:, :-1] = splice(np.arange(n)[:, None], tau)
+    windows[:, -1] = n
+    return frames, windows
 
 
 def input_dim(variant: Variant, lps_dims: int, mfcc_dims: int, tau: int) -> int:
@@ -503,11 +511,10 @@ def load_training_data(
 ) -> TrainingData:
     """Read the given manifest entries into float32 frames, windows and targets.
 
-    The frame store holds each utterance's normalized noisy features, then
-    one noise-aware row per utterance; each input row's window is laid out
-    as build_input_rows lays out its columns. The LPS/MFCC targets are
-    normalized with the noisy-data statistics; mask targets stay raw {0, 1}.
-    Every array is allocated once, sized from the container headers.
+    The frame store lays each utterance's build_input_rows store end to end,
+    and offsets its windows to match. The LPS/MFCC targets are normalized
+    with the noisy-data statistics; mask targets stay raw {0, 1}. Every
+    array is allocated once, sized from the container headers.
     """
     features_dir = Path(corpus_dir) / FEATURES_DIR
     want_mfcc = FeatureKind.MFCC in variant.head_kinds
@@ -534,6 +541,7 @@ def load_training_data(
     start = 0
     for u, (entry, n_frames) in enumerate(zip(entries, lengths)):
         rows = slice(start, start + n_frames)
+        store = start + u  # each utterance before this one added a noise row
 
         def read(name: str) -> np.ndarray:
             path = feature_path(features_dir, entry.utterance_id, name)
@@ -542,13 +550,15 @@ def load_training_data(
                 raise FormatError(f"{path}: {block.n_frames} frames, the noisy LPS has {n_frames}")
             return block.data
 
-        feat = normalize(read("noisy_lps"), stats[FeatureKind.LPS])
-        if variant.mfcc_in_input:
-            feat = np.hstack([feat, normalize(read("noisy_mfcc"), stats[FeatureKind.MFCC])])
-        frames[rows] = feat
-        frames[n_rows + u] = estimate_noise_aware_vector(feat, noise_aware_frames)
-        windows[rows, :-1] = start + splice_indices(n_frames, tau)
-        windows[rows, -1] = n_rows + u
+        utt_frames, utt_windows = build_input_rows(
+            read("noisy_lps"),
+            read("noisy_mfcc") if variant.mfcc_in_input else None,
+            stats,
+            tau,
+            noise_aware_frames,
+        )
+        frames[store : store + n_frames + 1] = utt_frames
+        np.add(utt_windows, store, out=windows[rows])
         t_lps[rows] = normalize(read("clean_lps"), stats[FeatureKind.LPS])
         if want_mfcc:
             t_mfcc[rows] = normalize(read("clean_mfcc"), stats[FeatureKind.MFCC])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import build_input_rows, denormalize, normalize
+from .corpus import build_input_rows, denormalize
 from .dsp import (
     Spectrogram,
     StftConfig,
@@ -104,14 +104,15 @@ def enhance_features(
         )
     spec = stft(noisy, stft_config)
     noisy_lps = lps(spec)
-    lps_norm = normalize(noisy_lps.data, model.stats[FeatureKind.LPS])
-    mfcc_norm = None
+    noisy_mfcc = None
     if model.variant.mfcc_in_input:
         if bank is None:
             raise ConfigError(f"variant {model.variant.value!r} needs a mel filter bank")
-        mfcc_norm = normalize(mfcc(spec, bank).data, model.stats[FeatureKind.MFCC])
-    rows = build_input_rows(lps_norm, mfcc_norm, model.tau, model.noise_aware_frames)
-    outputs = predict(model, rows)
+        noisy_mfcc = mfcc(spec, bank).data
+    frames, windows = build_input_rows(
+        noisy_lps.data, noisy_mfcc, model.stats, model.tau, model.noise_aware_frames
+    )
+    outputs = predict(model, frames[windows].reshape(noisy_lps.n_frames, -1))
     estimated = denormalize(
         outputs[FeatureKind.LPS].astype(np.float64), model.stats[FeatureKind.LPS]
     )

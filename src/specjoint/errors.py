@@ -13,10 +13,6 @@ class ConfigError(SpecJointError, ValueError):
     """Invalid configuration: bad key, bad value, or incompatible combination."""
 
 
-class FeatureKindError(SpecJointError, ValueError):
-    """A feature matrix of the wrong kind was passed to an operation."""
-
-
 class ScalingError(SpecJointError, ValueError):
     """Mixing cannot scale a silent clean or noise signal."""
 

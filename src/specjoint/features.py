@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Spectrogram, dct_matrix
-from .errors import ConfigError, FeatureKindError
+from .errors import ConfigError
 
 # Floor applied to every power before a log; keeps features finite.
 POWER_FLOOR = 1e-12
@@ -115,13 +115,6 @@ def lps(spec: Spectrogram) -> FeatureMatrix:
     return FeatureMatrix(np.log(np.maximum(power, POWER_FLOOR)), FeatureKind.LPS)
 
 
-def lps_to_magnitude(features: FeatureMatrix) -> np.ndarray:
-    """Invert lps(): exp(x/2), exact above the power floor."""
-    if features.kind != FeatureKind.LPS:
-        raise FeatureKindError(f"expected LPS features, got {features.kind.name}")
-    return np.exp(features.data / 2.0)
-
-
 def mfcc(spec: Spectrogram, bank: MelBank) -> FeatureMatrix:
     """Full-dimension MFCC plus a log-energy dimension.
 
@@ -160,18 +153,14 @@ def compute_ibm(clean: Spectrogram, noise: Spectrogram, cfg: IbmConfig | None = 
     return FeatureMatrix(mask.astype(np.float64), FeatureKind.IBM)
 
 
-def splice_indices(n_frames: int, tau: int) -> np.ndarray:
-    """(n_frames, 2*tau+1) indices of frames n-tau..n+tau per frame n, edge-clamped."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    return np.clip(np.arange(n_frames)[:, None] + np.arange(-tau, tau + 1)[None, :], 0, n_frames - 1)
-
-
 def splice(data: np.ndarray, tau: int) -> np.ndarray:
     """Concatenate frames n-tau..n+tau per row, replicating edge frames.
 
     Output has dims*(2*tau+1) columns and the same row count as the input.
     """
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     data = np.asarray(data)
     n = data.shape[0]
-    return data[splice_indices(n, tau)].reshape(n, -1)
+    index = np.clip(np.arange(n)[:, None] + np.arange(-tau, tau + 1)[None, :], 0, n - 1)
+    return data[index].reshape(n, -1)

@@ -16,7 +16,6 @@ from scipy.signal import resample_poly
 
 from .dsp import DEFAULT_SAMPLE_RATE, Waveform, frame_signal, overlap_add
 from .errors import MetricError, SpecJointError
-from .features import FeatureMatrix
 from .wavio import read_wav
 
 SSNR_FRAME_LEN = 512
@@ -188,14 +187,10 @@ class DistortionProfile:
         return DistortionProfile(self.total + other.total, self.n_frames + other.n_frames)
 
 
-def distortion_profile(
-    clean_lps: FeatureMatrix | np.ndarray, estimated_lps: FeatureMatrix | np.ndarray
-) -> DistortionProfile:
-    clean = clean_lps.data if isinstance(clean_lps, FeatureMatrix) else np.asarray(clean_lps)
-    est = estimated_lps.data if isinstance(estimated_lps, FeatureMatrix) else np.asarray(estimated_lps)
-    if clean.shape != est.shape:
-        raise ValueError(f"shape mismatch: clean {clean.shape}, estimated {est.shape}")
-    return DistortionProfile((clean - est).sum(axis=0), clean.shape[0])
+def distortion_profile(clean_lps: np.ndarray, estimated_lps: np.ndarray) -> DistortionProfile:
+    if clean_lps.shape != estimated_lps.shape:
+        raise ValueError(f"shape mismatch: clean {clean_lps.shape}, estimated {estimated_lps.shape}")
+    return DistortionProfile((clean_lps - estimated_lps).sum(axis=0), clean_lps.shape[0])
 
 
 def profile_csv(profile: DistortionProfile, sample_rate: int, fft_size: int) -> str:

@@ -10,7 +10,7 @@ import numpy as np
 
 from specjoint import MetricError, Model, TrainingData, Variant, Waveform, loss_and_output_grad
 from specjoint import container, metrics
-from specjoint.corpus import FEATURES_DIR, build_input_rows, feature_path, normalize
+from specjoint.corpus import FEATURES_DIR, feature_path, normalize
 from specjoint.features import FeatureKind
 from specjoint.network import _forward, _Momentum
 
@@ -175,24 +175,40 @@ def out_of_place_sgd_step(
         model.biases[i] += state.velocity_b[i]
 
 
+def spliced_input_rows(
+    noisy_lps: np.ndarray, noisy_mfcc, stats: dict, tau: int, noise_aware_frames: int
+) -> np.ndarray:
+    """One utterance's input matrix in float64: the normalized features of
+    frames i-tau..i+tau, edge frames repeated, then the mean of the first
+    noise_aware_frames normalized frames on every row."""
+    feat = normalize(noisy_lps, stats[FeatureKind.LPS])
+    if noisy_mfcc is not None:
+        feat = np.hstack([feat, normalize(noisy_mfcc, stats[FeatureKind.MFCC])])
+    n = feat.shape[0]
+    if not 1 <= noise_aware_frames <= n:
+        raise ValueError(f"need 1 <= k <= n_frames={n}, got k={noise_aware_frames}")
+    index = np.clip(np.arange(n)[:, None] + np.arange(-tau, tau + 1)[None, :], 0, n - 1)
+    spliced = feat[index].reshape(n, -1)
+    noise_vec = feat[:noise_aware_frames].mean(axis=0)
+    return np.hstack([spliced, np.tile(noise_vec, (n, 1))])
+
+
 def materialised_training_data(
     corpus_dir, entries, variant: Variant, stats: dict, tau: int, noise_aware_frames: int
 ) -> TrainingData:
-    """Every utterance's rows spliced by build_input_rows, the serving path's
-    layout, stacked in float64 and then cast to float32."""
+    """Every utterance's rows built by spliced_input_rows, stacked in float64
+    and then cast to float32."""
     features_dir = Path(corpus_dir) / FEATURES_DIR
     want_mfcc = FeatureKind.MFCC in variant.head_kinds
     want_ibm = FeatureKind.IBM in variant.head_kinds
     inputs, t_lps, t_mfcc, t_ibm = [], [], [], []
     for entry in entries:
         uid = entry.utterance_id
-        noisy_lps = container.read_features(feature_path(features_dir, uid, "noisy_lps"))
-        lps_norm = normalize(noisy_lps.data, stats[FeatureKind.LPS])
-        mfcc_norm = None
+        noisy_lps = container.read_features(feature_path(features_dir, uid, "noisy_lps")).data
+        noisy_mfcc = None
         if variant.mfcc_in_input:
-            noisy_mfcc = container.read_features(feature_path(features_dir, uid, "noisy_mfcc"))
-            mfcc_norm = normalize(noisy_mfcc.data, stats[FeatureKind.MFCC])
-        inputs.append(build_input_rows(lps_norm, mfcc_norm, tau, noise_aware_frames))
+            noisy_mfcc = container.read_features(feature_path(features_dir, uid, "noisy_mfcc")).data
+        inputs.append(spliced_input_rows(noisy_lps, noisy_mfcc, stats, tau, noise_aware_frames))
         clean_lps = container.read_features(feature_path(features_dir, uid, "clean_lps"))
         t_lps.append(normalize(clean_lps.data, stats[FeatureKind.LPS]))
         if want_mfcc:

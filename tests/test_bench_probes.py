@@ -2,8 +2,8 @@
 
 The tracer wraps specjoint functions by module and name, and both it and the
 checks read fields of ``TrainingData``. A rename that leaves either pointing
-at nothing would otherwise surface only when the benchmark's own, much
-slower, suite runs.
+at nothing, or a moved call that leaves a traced layer with no time, would
+otherwise surface only when the benchmark's own, much slower, suite runs.
 """
 
 import copy
@@ -12,7 +12,26 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from specjoint import TrainConfig, Variant, init_model, train
+import numpy as np
+
+from specjoint import (
+    FeatureKind,
+    FeatureMatrix,
+    MixSpec,
+    NormStats,
+    StftConfig,
+    TrainConfig,
+    Variant,
+    Waveform,
+    enhance_waveform,
+    init_model,
+    input_dim,
+    load_training_data,
+    train,
+    write_features,
+)
+from specjoint import corpus, enhance
+from specjoint.corpus import FEATURES_DIR, feature_path
 
 from oracles import random_training_data
 
@@ -46,3 +65,33 @@ def test_checks_and_tracer_read_training_data():
     train(trained, data, config)
     assert checks.check_training_helped(trained, untrained, data, config) == []
     assert load_perfbench("tracer")._training_data_counts((), {}, data)["bytes"] > 0
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Count the calls a module makes through one of its names."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_train_and_enhance_reach_the_traced_input_layers(tmp_path, monkeypatch):
+    # features.splice.s and corpus.build_input_rows.s must read above zero.
+    splices = counting(monkeypatch, corpus, "splice")
+    builds = counting(monkeypatch, enhance, "build_input_rows")
+    stats = {FeatureKind.LPS: NormStats(np.zeros(5), np.ones(5))}
+    entry = MixSpec(Path("c.wav"), Path("n.wav"), 0.0, 0, "train")
+    for name in ("noisy_lps", "clean_lps"):
+        path = feature_path(tmp_path / FEATURES_DIR, entry.utterance_id, name)
+        write_features(path, FeatureMatrix(np.zeros((8, 5)), FeatureKind.LPS))
+    data = load_training_data(tmp_path, [entry], Variant.BASELINE, stats, 1, 2)
+    assert data.n_rows == 8 and splices
+    model = init_model(Variant.BASELINE, input_dim(Variant.BASELINE, 5, 0, 1), stats, 1, 2, 5, 0, 4, 1)
+    small = StftConfig(frame_len=8, hop=4, fft_size=8)
+    enhance_waveform(model, Waveform(np.linspace(-0.5, 0.5, 64), 16000), small)
+    assert builds == ["build_input_rows"]

@@ -46,7 +46,7 @@ from specjoint import corpus as corpus_mod
 from specjoint.corpus import assign_splits, feature_path
 from specjoint.synth import harmonic_voice, white_noise
 
-from oracles import dense_rows, materialised_training_data
+from oracles import dense_rows, materialised_training_data, spliced_input_rows
 
 
 def wave(samples, rate=16000):
@@ -156,10 +156,6 @@ class TestNoiseAwareVector:
         data = np.arange(10.0)[:, None]
         # Mean of frames 0..5 is 2.5.
         assert estimate_noise_aware_vector(data, k=6).tolist() == [2.5]
-
-    def test_accepts_feature_matrix(self):
-        feats = FeatureMatrix(np.array([[2.0], [4.0]]), FeatureKind.LPS)
-        assert estimate_noise_aware_vector(feats, k=2).tolist() == [3.0]
 
     def test_rejects_bad_k(self):
         data = np.zeros((4, 2))
@@ -336,28 +332,72 @@ class TestVariant:
         assert input_dim(Variant.MFCC_IBM, 257, 41, 3) == 2384
 
 
+def unit_stats(lps_dims, mfcc_dims=1):
+    """Stats under which normalize leaves every value as it is."""
+    return {
+        FeatureKind.LPS: NormStats(np.zeros(lps_dims), np.ones(lps_dims)),
+        FeatureKind.MFCC: NormStats(np.zeros(mfcc_dims), np.ones(mfcc_dims)),
+    }
+
+
 class TestBuildInputRows:
     def test_tau_zero_layout(self, rng):
         feat = rng.standard_normal((10, 4))
-        out = build_input_rows(feat, None, tau=0, noise_aware_frames=6)
-        assert out.shape == (10, 8)
-        assert np.array_equal(out[:, :4], feat)
-        noise_vec = feat[:6].mean(axis=0)
-        assert np.array_equal(out[:, 4:], np.tile(noise_vec, (10, 1)))
+        frames, windows = build_input_rows(feat, None, unit_stats(4), tau=0, noise_aware_frames=6)
+        assert frames.dtype == np.float32 and frames.shape == (11, 4)
+        assert np.array_equal(frames[:10], feat.astype(np.float32))
+        assert np.array_equal(frames[10], feat[:6].mean(axis=0).astype(np.float32))
+        assert windows.tolist() == [[i, 10] for i in range(10)]
 
     def test_mfcc_joins_before_splicing(self, rng):
         lps_block = rng.standard_normal((8, 3))
         mfcc_block = rng.standard_normal((8, 2))
-        out = build_input_rows(lps_block, mfcc_block, tau=0, noise_aware_frames=2)
-        assert out.shape == (8, 10)
-        assert np.array_equal(out[:, :3], lps_block)
-        assert np.array_equal(out[:, 3:5], mfcc_block)
+        frames, windows = build_input_rows(
+            lps_block, mfcc_block, unit_stats(3, 2), tau=0, noise_aware_frames=2
+        )
+        assert frames.shape == (9, 5) and windows.shape == (8, 2)
+        assert np.array_equal(frames[:8, :3], lps_block.astype(np.float32))
+        assert np.array_equal(frames[:8, 3:], mfcc_block.astype(np.float32))
 
     def test_full_width(self, rng):
         lps_block = rng.standard_normal((9, 5))
         mfcc_block = rng.standard_normal((9, 2))
-        out = build_input_rows(lps_block, mfcc_block, tau=3, noise_aware_frames=6)
-        assert out.shape == (9, 7 * 7 + 7)
+        frames, windows = build_input_rows(
+            lps_block, mfcc_block, unit_stats(5, 2), tau=3, noise_aware_frames=6
+        )
+        assert frames[windows].reshape(9, -1).shape == (9, 7 * 7 + 7)
+        assert windows[0].tolist() == [0, 0, 0, 0, 1, 2, 3, 9]
+        assert windows[8].tolist() == [5, 6, 7, 8, 8, 8, 8, 9]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        tau=st.integers(0, 4),
+        noise_aware_frames=st.integers(1, 6),
+        with_mfcc=st.booleans(),
+        draw=st.data(),
+    )
+    def test_gather_matches_oracle_on_any_frame_count(
+        self, tau, noise_aware_frames, with_mfcc, draw
+    ):
+        # From the shortest an utterance may be to past one window, so the
+        # windows are clamped at one edge, both edges, and neither.
+        n = draw.draw(st.integers(noise_aware_frames, noise_aware_frames + 2 * tau + 3))
+        rng = np.random.default_rng(n * 100 + tau * 10 + noise_aware_frames)
+        stats = {
+            FeatureKind.LPS: NormStats(rng.normal(-3.0, 1.0, 5), rng.uniform(1.0, 5.0, 5)),
+            FeatureKind.MFCC: NormStats(rng.normal(1.0, 1.0, 3), rng.uniform(1.0, 9.0, 3)),
+        }
+        noisy_lps = rng.normal(-3.0, 2.0, (n, 5))
+        noisy_mfcc = rng.normal(1.0, 3.0, (n, 3)) if with_mfcc else None
+        args = (stats, tau, noise_aware_frames)
+        frames, windows = build_input_rows(noisy_lps, noisy_mfcc, *args)
+        want = spliced_input_rows(noisy_lps, noisy_mfcc, *args).astype(np.float32)
+        assert_same_bytes(frames[windows].reshape(n, -1), want)
+        short = draw.draw(st.integers(0, noise_aware_frames - 1))
+        with pytest.raises(ValueError, match=f"n_frames={short}"):
+            build_input_rows(
+                noisy_lps[:short], None if noisy_mfcc is None else noisy_mfcc[:short], *args
+            )
 
 
 class TestBatches:

@@ -5,7 +5,6 @@ import scipy.fft
 from specjoint import (
     ConfigError,
     FeatureKind,
-    FeatureKindError,
     FeatureMatrix,
     IbmConfig,
     Spectrogram,
@@ -13,7 +12,6 @@ from specjoint import (
     compute_ibm,
     hz_to_mel,
     lps,
-    lps_to_magnitude,
     mel_bank,
     mel_to_hz,
     mfcc,
@@ -54,16 +52,6 @@ class TestLps:
     def test_zero_spectrum_floor(self):
         out = lps(small_spec(np.zeros((2, 5))))
         assert np.all(out.data == pytest.approx(-27.63102111592855, abs=1e-12))
-
-    def test_inverts_to_magnitude(self, rng):
-        mags = rng.uniform(0.1, 2.0, size=(4, 5))
-        out = lps(small_spec(mags.astype(complex)))
-        assert lps_to_magnitude(out) == pytest.approx(mags, rel=1e-12)
-
-    def test_magnitude_rejects_wrong_kind(self):
-        feats = FeatureMatrix(np.zeros((1, 3)), FeatureKind.MFCC)
-        with pytest.raises(FeatureKindError, match="expected LPS"):
-            lps_to_magnitude(feats)
 
 
 class TestMelScale:
