@@ -62,10 +62,10 @@ reference = read_wav(entry.clean_path)
 
 plain = enhance_waveform(model, noisy, stft_config, bank, PostProcessConfig(enabled=False))
 gated = enhance_waveform(model, noisy, stft_config, bank, PostProcessConfig(enabled=True))
-counts = gated.branch_counts
+counts = gated.counters
 print(f"{entry.utterance_id}")
-print(f"  gate branches: noisy={counts.kept_noisy} averaged={counts.averaged} "
-      f"estimate={counts.kept_estimate}")
+print(f"  gate branches: noisy={counts['kept_noisy']} averaged={counts['averaged']} "
+      f"estimate={counts['kept_estimate']}")
 for label, wave in (("noisy", noisy), ("enhanced", plain.enhanced), ("gated", gated.enhanced)):
     print(f"  {label:9s} ssnr {ssnr(reference, wave):6.2f} dB   "
           f"stoi {stoi(reference, wave):.3f}")

@@ -21,7 +21,7 @@ from .config import RunConfig
 from .corpus import Variant, load_training_data, read_corpus_stats, read_manifest
 from .dsp import min_samples, stft
 from .enhance import enhance_waveform, write_diagnostics
-from .errors import SpecJointError, TrainingDivergedError
+from .errors import ConfigError, SpecJointError, TrainingDivergedError
 from .features import FeatureKind, lps
 from .network import LOSS_NAMES, EpochStats, init_model, load_model, save_model, train
 from .wavio import read_wav, write_wav
@@ -58,6 +58,17 @@ def _load_config(args) -> RunConfig:
 def _echo_config(config: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / CONFIG_ECHO_NAME).write_text(config.dump(), encoding="utf-8")
+
+
+def _check_dims(config: RunConfig, stats, with_mfcc: bool, source: str) -> None:
+    """Raise unless the config's feature sizes are the ones source was built with."""
+    wanted = {FeatureKind.LPS: config.lps_dims}
+    if with_mfcc:
+        wanted[FeatureKind.MFCC] = config.mfcc_dims
+    for kind, dims in wanted.items():
+        have = stats[kind].dims if kind in stats else 0
+        if have != dims:
+            raise ConfigError(f"the config gives {dims} {kind.name} dims but {source} has {have}")
 
 
 def _wav_list(directory: Path) -> list[Path]:
@@ -145,6 +156,7 @@ def cmd_train(args) -> int:
     variant = Variant.parse(config.variant)
     entries = read_manifest(corpus_dir / corpus_mod.MANIFEST_NAME)
     stats = read_corpus_stats(corpus_dir)
+    _check_dims(config, stats, FeatureKind.MFCC in variant.head_kinds, f"the corpus in {corpus_dir}")
     train_entries = [e for e in entries if e.split == "train"]
     val_entries = [e for e in entries if e.split == "val"]
     if not train_entries:
@@ -207,6 +219,7 @@ def cmd_enhance(args) -> int:
             model.variant.value,
         )
         return 1
+    _check_dims(config, model.stats, model.variant.mfcc_in_input, f"checkpoint {args.checkpoint}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def process(path: Path) -> str | None:

@@ -51,39 +51,13 @@ class PostProcessConfig:
             )
 
 
-@dataclass(frozen=True)
-class BranchCounts:
-    """How many time-frequency units each gate branch handled."""
-
-    kept_noisy: int
-    averaged: int
-    kept_estimate: int
-
-    @property
-    def total(self) -> int:
-        return self.kept_noisy + self.averaged + self.kept_estimate
-
-
 @dataclass
 class EnhanceResult:
-    enhanced: Waveform
-    estimated_lps: FeatureMatrix
-    final_lps: FeatureMatrix
-    estimated_ibm: FeatureMatrix | None
-    branch_counts: BranchCounts | None
-    clipped_samples: int
+    """An enhanced waveform and its counters: n_frames, n_bins, clipped_samples,
+    and the gate's kept_noisy, averaged and kept_estimate when it ran."""
 
-    def diagnostics(self) -> dict[str, int]:
-        out = {
-            "n_frames": self.final_lps.n_frames,
-            "n_bins": self.final_lps.dims,
-            "clipped_samples": self.clipped_samples,
-        }
-        if self.branch_counts is not None:
-            out["kept_noisy"] = self.branch_counts.kept_noisy
-            out["averaged"] = self.branch_counts.averaged
-            out["kept_estimate"] = self.branch_counts.kept_estimate
-        return out
+    enhanced: Waveform
+    counters: dict[str, int]
 
 
 def enhance_features(
@@ -127,13 +101,14 @@ def post_process(
     estimated_lps: np.ndarray,
     mask: np.ndarray,
     config: PostProcessConfig,
-) -> tuple[np.ndarray, BranchCounts]:
+) -> tuple[np.ndarray, dict[str, int]]:
     """Per-bin three-way gate between the noisy and estimated spectra.
 
     Where the mask is at least gamma the noisy value is kept (the bin is
     speech-dominant, so the observation is already close to clean); strictly
     between epsilon and gamma the two are averaged; otherwise the estimate
-    stands. Operates on unnormalized log-power values.
+    stands. Operates on unnormalized log-power values. Returns the gated
+    spectra and how many units took each branch.
     """
     noisy_lps = np.asarray(noisy_lps)
     estimated_lps = np.asarray(estimated_lps)
@@ -146,12 +121,12 @@ def post_process(
     keep = mask >= config.gamma
     blend = (mask > config.epsilon) & ~keep
     out = np.where(keep, noisy_lps, np.where(blend, (noisy_lps + estimated_lps) / 2.0, estimated_lps))
-    counts = BranchCounts(
-        kept_noisy=int(keep.sum()),
-        averaged=int(blend.sum()),
-        kept_estimate=int(mask.size - keep.sum() - blend.sum()),
-    )
-    return out, counts
+    kept_noisy, averaged = int(keep.sum()), int(blend.sum())
+    return out, {
+        "kept_noisy": kept_noisy,
+        "averaged": averaged,
+        "kept_estimate": mask.size - kept_noisy - averaged,
+    }
 
 
 def oracle_post_process(
@@ -159,7 +134,7 @@ def oracle_post_process(
     estimated_lps: np.ndarray,
     true_ibm: np.ndarray,
     config: PostProcessConfig,
-) -> tuple[np.ndarray, BranchCounts]:
+) -> tuple[np.ndarray, dict[str, int]]:
     """Gate with the ground-truth binary mask; a ceiling for mask quality."""
     true_ibm = np.asarray(true_ibm)
     if not np.all((true_ibm == 0.0) | (true_ibm == 1.0)):
@@ -209,28 +184,21 @@ def enhance_waveform(
             f"variant {model.variant.value!r} has no mask head; disable post-processing"
         )
     estimated, mask, spec, noisy_lps = enhance_features(model, noisy, stft_config, bank)
-    counts = None
+    final = estimated.data
+    counters = {"n_frames": final.shape[0], "n_bins": final.shape[1]}
     if post.enabled:
-        final, counts = post_process(noisy_lps.data, estimated.data, mask.data, post)
-        final_lps = FeatureMatrix(final, FeatureKind.LPS)
-    else:
-        final_lps = estimated
+        final, gate = post_process(noisy_lps.data, final, mask.data, post)
+        counters.update(gate)
     _, phases = magnitude_phase(spec)
-    enhanced, clipped = reconstruct(final_lps, phases, stft_config, len(noisy), noisy.sample_rate)
-    return EnhanceResult(
-        enhanced=enhanced,
-        estimated_lps=estimated,
-        final_lps=final_lps,
-        estimated_ibm=mask,
-        branch_counts=counts,
-        clipped_samples=clipped,
+    enhanced, counters["clipped_samples"] = reconstruct(
+        final, phases, stft_config, len(noisy), noisy.sample_rate
     )
+    return EnhanceResult(enhanced, counters)
 
 
 def write_diagnostics(path: str | Path, result: EnhanceResult) -> None:
-    """Per-utterance counters as UTF-8 key=value lines, stable order."""
-    diag = result.diagnostics()
-    lines = [f"{key}={diag[key]}" for key in sorted(diag)]
+    """The result's counters as UTF-8 key=value lines, sorted by key."""
+    lines = [f"{key}={value}" for key, value in sorted(result.counters.items())]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -10,6 +10,7 @@ accumulated in float64 and reported as a dict from name to value: "total"
 first, then one entry per head, named after its feature kind in lower case.
 """
 
+import itertools
 import math
 import os
 import struct
@@ -502,6 +503,18 @@ def load_model(path: str | Path) -> Model:
         for _ in range(n_heads):
             kind_code, offset, width = reader.unpack("<BII")
             heads.append(HeadSpec(feature_kind(kind_code), offset, width))
+        variant = _CODE_VARIANTS[variant_code]
+        edges = list(itertools.accumulate((h.width for h in heads), initial=0))
+        out_width = shapes[-1][1] if shapes else 0
+        if (
+            tuple(h.kind for h in heads) != variant.head_kinds
+            or [h.offset for h in heads] != edges[:-1]
+            or edges[-1] != out_width
+        ):
+            raise FormatError(
+                f"{path}: head table does not fit variant {variant.value!r} "
+                f"and its {out_width}-wide output layer"
+            )
         (n_stats,) = reader.unpack("<B")
         stats = {}
         for _ in range(n_stats):
@@ -515,6 +528,4 @@ def load_model(path: str | Path) -> Model:
             biases.append(reader.array("<f4", fan_out))
     if reader.remaining:
         raise FormatError(f"{path}: {reader.remaining} trailing bytes")
-    return Model(
-        _CODE_VARIANTS[variant_code], tau, noise_aware_frames, weights, biases, tuple(heads), stats
-    )
+    return Model(variant, tau, noise_aware_frames, weights, biases, tuple(heads), stats)

@@ -1,7 +1,8 @@
 """The benchmark's tracer and output checks reach into specjoint by name.
 
-The tracer wraps specjoint functions by module and name, and both it and the
-checks read fields of ``TrainingData``. A rename that leaves either pointing
+The tracer wraps specjoint functions by module and name, both it and the
+checks read fields of ``TrainingData``, and the checks parse the gate
+counters out of each ``.diag.txt``. A rename that leaves any of them pointing
 at nothing, or a moved call that leaves a traced layer with no time, would
 otherwise surface only when the benchmark's own, much slower, suite runs.
 """
@@ -19,6 +20,7 @@ from specjoint import (
     FeatureMatrix,
     MixSpec,
     NormStats,
+    PostProcessConfig,
     StftConfig,
     TrainConfig,
     Variant,
@@ -28,7 +30,9 @@ from specjoint import (
     input_dim,
     load_training_data,
     train,
+    write_diagnostics,
     write_features,
+    write_wav,
 )
 from specjoint import corpus, enhance
 from specjoint.corpus import FEATURES_DIR, feature_path
@@ -95,3 +99,19 @@ def test_train_and_enhance_reach_the_traced_input_layers(tmp_path, monkeypatch):
     small = StftConfig(frame_len=8, hop=4, fft_size=8)
     enhance_waveform(model, Waveform(np.linspace(-0.5, 0.5, 64), 16000), small)
     assert builds == ["build_input_rows"]
+
+
+def test_checks_read_the_gate_counters(tmp_path):
+    checks = load_perfbench("checks")
+    bins = checks.N_BINS
+    stft_config = StftConfig(checks.FRAME_LEN, checks.HOP, "hann", checks.FFT_SIZE)
+    assert stft_config.n_bins == bins
+    stats = {FeatureKind.LPS: NormStats(np.zeros(bins), np.ones(bins))}
+    model = init_model(Variant.IBM, input_dim(Variant.IBM, bins, 0, 1), stats, 1, 2, bins, 0, 4, 1)
+    noisy = Waveform(0.1 * np.random.default_rng(0).standard_normal(4000), 16000)
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    write_wav(in_dir / "utt.wav", noisy)
+    result = enhance_waveform(model, noisy, stft_config, post=PostProcessConfig())
+    write_wav(out_dir / "utt.wav", result.enhanced)
+    write_diagnostics(out_dir / "utt.diag.txt", result)
+    assert checks.check_enhanced(in_dir, out_dir) == []

@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +26,13 @@ from specjoint import (
     Variant,
     Waveform,
     init_model,
+    input_dim,
     load_model,
     loss_and_output_grad,
     mel_bank,
     read_manifest,
     read_wav,
+    save_model,
     write_features,
     write_manifest,
     write_wav,
@@ -372,6 +375,22 @@ class TestTrain:
         model = load_model(ckpt)
         assert [h.kind for h in model.heads] == [FeatureKind.LPS, FeatureKind.IBM]
 
+    @pytest.mark.parametrize(
+        "line, variant, config_dims, corpus_dims",
+        [("stft.fft_size = 1024", "baseline", 513, 257), ("mel.filters = 30", "mfcc", 31, 41)],
+    )
+    def test_feature_size_mismatch_fails_in_one_line(
+        self, env, tmp_path, line, variant, config_dims, corpus_dims
+    ):
+        config_path = tmp_path / "resized.cfg"
+        config_path.write_text(BASE_CONFIG + line + "\n")
+        ckpt = tmp_path / "model.sjnn"
+        result = run_child(
+            "train", "--config", str(config_path), "--variant", variant, str(env["corpus"]), str(ckpt)
+        )
+        assert_one_line_error(result, "error:", f"{config_dims} ", f"has {corpus_dims}")
+        assert not ckpt.exists()
+
     def test_unknown_variant_rejected_by_parser(self, env):
         with pytest.raises(SystemExit):
             main(["train", "--variant", "bogus", str(env["corpus"]), "x.sjnn"])
@@ -604,6 +623,52 @@ class TestEnhance:
             str(bad), str(env["corpus"] / "noisy"), str(tmp_path / "o"),
         )
         assert_one_line_error(result, str(bad), "unknown feature kind 9")
+
+
+    @pytest.mark.parametrize(
+        "line, variant, config_dims, checkpoint_dims",
+        [("stft.fft_size = 1024", "baseline", 513, 257), ("mel.filters = 30", "mfcc", 31, 41)],
+    )
+    def test_feature_size_mismatch_fails_in_one_line(
+        self, env, tmp_path, line, variant, config_dims, checkpoint_dims
+    ):
+        ckpt = tmp_path / f"{variant}.sjnn"
+        train = ["train", "--config", str(env["config"]), "--variant", variant]
+        assert main([*train, str(env["corpus"]), str(ckpt)]) == 0
+        config_path = tmp_path / "resized.cfg"
+        config_path.write_text(BASE_CONFIG + line + "\n")
+        out = tmp_path / "o"
+        result = run_child(
+            "enhance", "--config", str(config_path), str(ckpt), str(env["corpus"] / "noisy"), str(out)
+        )
+        assert_one_line_error(result, "error:", f"{config_dims} ", f"has {checkpoint_dims}")
+        assert not out.exists()
+
+    def test_checkpoint_without_stats_fails_in_one_line(self, env, tmp_path):
+        dims = input_dim(Variant.BASELINE, 257, 41, 3)
+        model = init_model(Variant.BASELINE, dims, {}, 3, 6, 257, 41, hidden_units=8, hidden_layers=1)
+        ckpt = tmp_path / "bare.sjnn"
+        save_model(ckpt, model)
+        out = tmp_path / "o"
+        result = run_child(
+            "enhance", "--config", str(env["config"]), str(ckpt), str(env["corpus"] / "noisy"), str(out)
+        )
+        assert_one_line_error(result, "error:", "257 LPS dims", "has 0")
+        assert not out.exists()
+
+    def test_misfit_head_width_fails_in_one_line(self, env, tmp_path):
+        blob = bytearray(env["ckpt"].read_bytes())
+        # The single LPS head's width follows its kind byte and offset.
+        width_at = 4 + 4 + 9 + 4 + 2 * 8 + 1 + 1 + 4
+        assert struct.unpack_from("<I", blob, width_at) == (257,)
+        struct.pack_into("<I", blob, width_at, 100)
+        bad = tmp_path / "bad.sjnn"
+        bad.write_bytes(bytes(blob))
+        result = run_child(
+            "enhance", "--config", str(env["config"]),
+            str(bad), str(env["corpus"] / "noisy"), str(tmp_path / "o"),
+        )
+        assert_one_line_error(result, "error:", str(bad), "head table")
 
 
 class TestEvaluate:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from specjoint import (
-    BranchCounts,
     ConfigError,
     FeatureKind,
     HeadSpec,
@@ -12,6 +11,7 @@ from specjoint import (
     StftConfig,
     Variant,
     Waveform,
+    enhance_features,
     enhance_waveform,
     fit_norm_stats,
     lps,
@@ -104,8 +104,8 @@ class TestPostProcess:
         estimate = np.ones((1, 5))
         mask = np.array([[0.95, 0.9, 0.7, 0.6, 0.1]])
         _, counts = post_process(noisy, estimate, mask, PostProcessConfig())
-        assert counts == BranchCounts(kept_noisy=2, averaged=1, kept_estimate=2)
-        assert counts.total == mask.size
+        assert counts == {"kept_noisy": 2, "averaged": 1, "kept_estimate": 2}
+        assert sum(counts.values()) == mask.size
 
     def test_output_stays_between_inputs(self, rng):
         noisy = rng.standard_normal((20, 9))
@@ -130,7 +130,7 @@ class TestPostProcess:
         estimate = rng.standard_normal((10, 10))
         mask = rng.uniform(0.0, 1.1, (10, 10))
         kept = [
-            post_process(noisy, estimate, mask, PostProcessConfig(gamma=g))[1].kept_noisy
+            post_process(noisy, estimate, mask, PostProcessConfig(gamma=g))[1]["kept_noisy"]
             for g in (0.7, 0.8, 0.9, 1.0, 1.1)
         ]
         assert kept == sorted(kept, reverse=True)
@@ -146,14 +146,14 @@ class TestOraclePostProcess:
         estimate = rng.standard_normal((4, 5))
         out, counts = oracle_post_process(noisy, estimate, np.ones((4, 5)), PostProcessConfig())
         assert np.array_equal(out, noisy)
-        assert counts.kept_noisy == 20
+        assert counts["kept_noisy"] == 20
 
     def test_all_zeros_keeps_estimate(self, rng):
         noisy = rng.standard_normal((4, 5))
         estimate = rng.standard_normal((4, 5))
         out, counts = oracle_post_process(noisy, estimate, np.zeros((4, 5)), PostProcessConfig())
         assert np.array_equal(out, estimate)
-        assert counts.kept_estimate == 20
+        assert counts["kept_estimate"] == 20
 
     def test_binary_mask_selects_per_bin(self, rng):
         noisy = rng.standard_normal((6, 7))
@@ -211,9 +211,9 @@ class TestEnhanceWaveform:
     def test_copying_model_reproduces_noisy(self):
         noisy = self.noisy()
         result = enhance_waveform(copying_model(), noisy, SMALL)
-        spec = stft(noisy, SMALL)
+        estimated, _, spec, _ = enhance_features(copying_model(), noisy, SMALL)
         # The estimate passes through a float32 forward pass.
-        assert result.estimated_lps.data == pytest.approx(lps(spec).data, rel=1e-5)
+        assert estimated.data == pytest.approx(lps(spec).data, rel=1e-5)
         edge = SMALL.frame_len
         x = noisy.samples[edge:-edge]
         y = result.enhanced.samples[edge:-edge]
@@ -227,8 +227,11 @@ class TestEnhanceWaveform:
         )
         default = enhance_waveform(model, noisy, SMALL, post=None)
         assert np.array_equal(explicit.enhanced.samples, default.enhanced.samples)
-        assert np.array_equal(explicit.final_lps.data, explicit.estimated_lps.data)
-        assert explicit.branch_counts is None
+        estimated, _, spec, _ = enhance_features(model, noisy, SMALL)
+        _, phases = magnitude_phase(spec)
+        raw, _ = reconstruct(estimated, phases, SMALL, len(noisy), noisy.sample_rate)
+        assert np.array_equal(explicit.enhanced.samples, raw.samples)
+        assert sorted(explicit.counters) == ["clipped_samples", "n_bins", "n_frames"]
 
     def test_gate_requires_mask_head(self):
         with pytest.raises(ConfigError, match="no mask head"):
@@ -240,14 +243,13 @@ class TestEnhanceWaveform:
         noisy = self.noisy(seed=2)
         model = copying_model(Variant.IBM, with_mask=True)
         result = enhance_waveform(model, noisy, SMALL, post=PostProcessConfig())
-        spec = stft(noisy, SMALL)
-        assert result.estimated_ibm is not None
-        assert result.estimated_ibm.data.shape == (spec.n_frames, BINS)
-        assert result.branch_counts.total == spec.n_frames * BINS
-        diag = result.diagnostics()
-        assert diag["n_frames"] == spec.n_frames
-        assert diag["n_bins"] == BINS
-        assert "kept_noisy" in diag and "averaged" in diag and "kept_estimate" in diag
+        _, mask, spec, _ = enhance_features(model, noisy, SMALL)
+        assert mask.data.shape == (spec.n_frames, BINS)
+        counters = result.counters
+        assert counters["n_frames"] == spec.n_frames
+        assert counters["n_bins"] == BINS
+        gate = [counters[key] for key in ("kept_noisy", "averaged", "kept_estimate")]
+        assert sum(gate) == spec.n_frames * BINS
 
     def test_mask_of_zeros_equals_disabled_gate(self):
         # The copying model's mask head outputs all zeros, so every bin takes
@@ -256,9 +258,13 @@ class TestEnhanceWaveform:
         model = copying_model(Variant.IBM, with_mask=True)
         gated = enhance_waveform(model, noisy, SMALL, post=PostProcessConfig())
         plain = enhance_waveform(model, noisy, SMALL)
-        assert np.array_equal(gated.final_lps.data, plain.final_lps.data)
         assert np.array_equal(gated.enhanced.samples, plain.enhanced.samples)
-        assert gated.branch_counts.kept_estimate == gated.branch_counts.total
+        assert gated.counters == {
+            **plain.counters,
+            "kept_noisy": 0,
+            "averaged": 0,
+            "kept_estimate": plain.counters["n_frames"] * BINS,
+        }
 
     def test_cepstral_variant_needs_bank(self, speech_like):
         model = copying_model()
@@ -293,7 +299,7 @@ class TestEnhanceWaveform:
             model, speech_like, stft_config, bank=bank, post=PostProcessConfig()
         )
         assert len(result.enhanced) == len(speech_like)
-        assert result.final_lps.data.shape == (spec.n_frames, 257)
+        assert (result.counters["n_frames"], result.counters["n_bins"]) == (spec.n_frames, 257)
 
 
 class TestDiagnosticsFile:
@@ -310,3 +316,30 @@ class TestDiagnosticsFile:
         values = dict(line.split("=", 1) for line in lines)
         total = int(values["kept_noisy"]) + int(values["averaged"]) + int(values["kept_estimate"])
         assert total == int(values["n_frames"]) * int(values["n_bins"])
+
+    # The diagnostics format byte for byte: a renamed, dropped or reordered
+    # counter changes it.
+    GOLDEN = {
+        "ungated": "clipped_samples=543\nn_bins=17\nn_frames=199\n",
+        "gated": (
+            "averaged=995\nclipped_samples=0\nkept_estimate=1791\nkept_noisy=597\n"
+            "n_bins=17\nn_frames=199\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_text(self, tmp_path, case):
+        noisy = Waveform(0.1 * np.random.default_rng(5).standard_normal(3200), 16000)
+        if case == "gated":
+            # A constant mask rising across the bins reaches all three branches.
+            model = copying_model(Variant.IBM, with_mask=True)
+            model.biases[0][BINS:] = np.linspace(0.0, 1.1, BINS)
+            post = PostProcessConfig()
+        else:
+            # A 4-nat log-power boost drives many samples past full scale.
+            model = copying_model()
+            model.biases[0] += 4.0
+            post = None
+        path = tmp_path / "utt.diag.txt"
+        write_diagnostics(path, enhance_waveform(model, noisy, SMALL, post=post))
+        assert path.read_bytes() == self.GOLDEN[case].encode("utf-8")

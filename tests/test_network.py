@@ -605,6 +605,26 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="unknown feature kind 9"):
             load_model(path)
 
+    @pytest.mark.parametrize("fault", ["variant", "order", "offset", "width"])
+    def test_rejects_misfit_head_table(self, tmp_path, fault):
+        path = tmp_path / "model.sjnn"
+        save_model(path, tiny_model(Variant.MFCC_IBM, seed=0, hidden_layers=1))
+        blob = bytearray(path.read_bytes())
+        # Two layers: the LPS, MFCC and IBM heads follow as <BII> (kind,
+        # offset, width) after 4 + 4 + 9 + 4 + 2 * 8 bytes and the count byte.
+        heads = 4 + 4 + 9 + 4 + 16 + 1
+        if fault == "variant":
+            blob[8] = 0  # baseline, which has only the LPS head
+        elif fault == "order":
+            blob[heads + 9], blob[heads + 18] = blob[heads + 18], blob[heads + 9]
+        elif fault == "offset":
+            struct.pack_into("<I", blob, heads + 9 + 1, LPS_DIMS + 1)
+        else:
+            struct.pack_into("<I", blob, heads + 18 + 5, LPS_DIMS - 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="head table does not fit"):
+            load_model(path)
+
     def test_rejects_truncation(self, tmp_path):
         path = self.saved(tmp_path)
         blob = path.read_bytes()
