@@ -153,6 +153,8 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     corpus_dir = Path(args.corpus_dir)
     checkpoint_path = Path(args.checkpoint)
+    if checkpoint_path.is_dir():
+        raise ConfigError(f"checkpoint {checkpoint_path} is a directory")
     variant = Variant.parse(config.variant)
     entries = read_manifest(corpus_dir / corpus_mod.MANIFEST_NAME)
     stats = read_corpus_stats(corpus_dir)
@@ -227,10 +229,10 @@ def cmd_enhance(args) -> int:
         try:
             noisy = read_wav(path, expected_rate=config.sample_rate)
             result = enhance_waveform(model, noisy, config.stft_config(), bank, post)
-        except SpecJointError as exc:
+            write_wav(out_dir / path.name, result.enhanced)
+            write_diagnostics(out_dir / f"{path.stem}.diag.txt", result)
+        except (SpecJointError, OSError) as exc:
             return f"{path}: {exc}"
-        write_wav(out_dir / path.name, result.enhanced)
-        write_diagnostics(out_dir / f"{path.stem}.diag.txt", result)
         return None
 
     failed = 0
@@ -368,7 +370,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecJointError, FileNotFoundError) as exc:
+    except (SpecJointError, OSError) as exc:
         log.error("error: %s", exc)
         return 1
 

@@ -7,6 +7,7 @@ cannot drift apart. Unknown keys are rejected rather than ignored.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,10 +47,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected on/off, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     if not text.strip():
         raise ValueError("empty list")
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_parse_float(part) for part in text.split(","))
 
 
 def _format_bool(value: bool) -> str:
@@ -69,7 +76,7 @@ def _format_floats(value: tuple[float, ...]) -> str:
 # field type -> (parser, formatter)
 _CODECS = {
     int: (int, str),
-    float: (float, _format_float),
+    float: (_parse_float, _format_float),
     str: (str, str),
     bool: (_parse_bool, _format_bool),
     tuple[float, ...]: (_parse_floats, _format_floats),
@@ -107,6 +114,13 @@ class RunConfig:
     post_epsilon: float = _key("post.epsilon", DEFAULT_EPSILON)
     post_enabled: bool = _key("post.enabled", True)
     seed: int = _key("seed", 0)
+
+    def __post_init__(self):
+        # Values below these end a command deep inside numpy or the training loop.
+        for key, least in (("seed", 0), ("context.tau", 0), ("noise_aware.frames", 1)):
+            value = getattr(self, _SCHEMA[key][0])
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
 
     # --- derived builders -------------------------------------------------
 
@@ -169,7 +183,10 @@ class RunConfig:
                 values[attr] = parser(value)
             except ValueError as exc:
                 raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

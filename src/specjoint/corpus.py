@@ -42,14 +42,19 @@ FEATURES_DIR = "features"
 NOISY_DIR = "noisy"
 STATS_DIR = "stats"
 
-# Per-utterance feature container suffixes.
+# Per-utterance feature containers: (role, kind held) -> file name, in write
+# order. An input file feeds the network's input rows and its kind's
+# statistics; a target file is what the head of its kind is trained against.
 _FEATURE_FILES = {
-    "noisy_lps": FeatureKind.LPS,
-    "noisy_mfcc": FeatureKind.MFCC,
-    "clean_lps": FeatureKind.LPS,
-    "clean_mfcc": FeatureKind.MFCC,
-    "ibm": FeatureKind.IBM,
+    ("input", FeatureKind.LPS): "noisy_lps",
+    ("input", FeatureKind.MFCC): "noisy_mfcc",
+    ("target", FeatureKind.LPS): "clean_lps",
+    ("target", FeatureKind.MFCC): "clean_mfcc",
+    ("target", FeatureKind.IBM): "ibm",
 }
+
+# Statistics container of each input kind, fitted on the train split.
+_STATS_FILES = {FeatureKind.LPS: "lps.sjfm", FeatureKind.MFCC: "mfcc.sjfm"}
 
 
 class Variant(enum.Enum):
@@ -71,6 +76,10 @@ class Variant(enum.Enum):
     @property
     def mfcc_in_input(self) -> bool:
         return self in (Variant.MFCC, Variant.MFCC_IBM)
+
+    @property
+    def input_kinds(self) -> tuple[FeatureKind, ...]:
+        return (FeatureKind.LPS, FeatureKind.MFCC) if self.mfcc_in_input else (FeatureKind.LPS,)
 
     @property
     def head_kinds(self) -> tuple[FeatureKind, ...]:
@@ -255,18 +264,6 @@ def read_manifest(path: str | Path) -> list[MixSpec]:
     return entries
 
 
-@dataclass(frozen=True)
-class MixtureFeatures:
-    """Everything extracted from one mixed utterance."""
-
-    noisy: Waveform
-    noisy_lps: FeatureMatrix
-    noisy_mfcc: FeatureMatrix
-    clean_lps: FeatureMatrix
-    clean_mfcc: FeatureMatrix
-    ibm: FeatureMatrix
-
-
 def extract_mixture_features(
     clean: Waveform,
     noise: Waveform,
@@ -275,38 +272,32 @@ def extract_mixture_features(
     stft_config: StftConfig,
     bank: MelBank,
     ibm_config: IbmConfig,
-) -> MixtureFeatures:
-    """Mix one pair and compute all training features from aligned components."""
+) -> tuple[Waveform, dict[str, FeatureMatrix]]:
+    """Mix one pair; return the noisy waveform and each feature file's matrix, from aligned parts."""
     noisy, scaled_noise = mix_at_snr(clean, noise, snr_db, noise_offset)
     noisy_spec = stft(noisy, stft_config)
     clean_spec = stft(clean, stft_config)
     noise_spec = stft(scaled_noise, stft_config)
-    return MixtureFeatures(
-        noisy=noisy,
-        noisy_lps=lps(noisy_spec),
-        noisy_mfcc=mfcc(noisy_spec, bank),
-        clean_lps=lps(clean_spec),
-        clean_mfcc=mfcc(clean_spec, bank),
-        ibm=compute_ibm(clean_spec, noise_spec, ibm_config),
-    )
+    return noisy, {
+        "noisy_lps": lps(noisy_spec),
+        "noisy_mfcc": mfcc(noisy_spec, bank),
+        "clean_lps": lps(clean_spec),
+        "clean_mfcc": mfcc(clean_spec, bank),
+        "ibm": compute_ibm(clean_spec, noise_spec, ibm_config),
+    }
 
 
 def feature_path(features_dir: str | Path, utterance_id: str, name: str) -> Path:
-    if name not in _FEATURE_FILES:
+    if name not in _FEATURE_FILES.values():
         raise ValueError(f"unknown feature name {name!r}")
     return Path(features_dir) / f"{utterance_id}.{name}.sjfm"
-
-
-def write_mixture_features(features_dir: str | Path, utterance_id: str, mix: MixtureFeatures) -> None:
-    for name in _FEATURE_FILES:
-        container.write_features(feature_path(features_dir, utterance_id, name), getattr(mix, name))
 
 
 def assign_splits(
     clean_paths: list[Path], val_fraction: float, test_fraction: float, seed: int
 ) -> dict[Path, str]:
     """Split clean utterances (not mixtures) so no utterance leaks across splits."""
-    if val_fraction < 0 or test_fraction < 0 or val_fraction + test_fraction >= 1.0:
+    if not (val_fraction >= 0 and test_fraction >= 0 and val_fraction + test_fraction < 1.0):
         raise ConfigError("val/test fractions must be >= 0 and sum to < 1")
     ordered = sorted(clean_paths)
     rng = np.random.default_rng(seed)
@@ -366,8 +357,7 @@ def build_corpus(
         rng = np.random.default_rng(seed + 1)
         noises = {path: read_wav(path, expected_rate=sample_rate) for path in sorted(noise_paths)}
         entries = []
-        lps_sum = _StreamingStats()
-        mfcc_sum = _StreamingStats()
+        sums = {kind: _StreamingStats() for kind in _STATS_FILES}
         # Offsets are drawn in a fixed (sorted) order so the manifest is
         # byte-identical across runs with the same seed.
         for clean_path in sorted(clean_paths):
@@ -379,7 +369,7 @@ def build_corpus(
                     entry = MixSpec(clean_path, noise_path, float(snr_db), offset, split)
                     entries.append(entry)
                     try:
-                        mix = extract_mixture_features(
+                        noisy, features = extract_mixture_features(
                             clean, noise, entry.snr_db, offset, stft_config, bank, ibm_config
                         )
                     except ScalingError as exc:
@@ -387,18 +377,20 @@ def build_corpus(
                             f"{clean_path} with {noise_path} at offset {offset}: {exc}"
                         ) from exc
                     uid = entry.utterance_id
-                    written += [feature_path(features_dir, uid, name) for name in _FEATURE_FILES]
-                    write_mixture_features(features_dir, uid, mix)
+                    for name in _FEATURE_FILES.values():
+                        written.append(feature_path(features_dir, uid, name))
+                        container.write_features(written[-1], features[name])
                     written.append(noisy_dir / f"{uid}.wav")
-                    write_wav(written[-1], mix.noisy)
+                    write_wav(written[-1], noisy)
                     if entry.split == "train":
-                        lps_sum.add(mix.noisy_lps.data)
-                        mfcc_sum.add(mix.noisy_mfcc.data)
+                        for kind, total in sums.items():
+                            total.add(features[_FEATURE_FILES["input", kind]].data)
 
-        written += [stats_dir / "lps.sjfm", stats_dir / "mfcc.sjfm", out_dir / MANIFEST_NAME]
-        write_norm_stats(stats_dir / "lps.sjfm", lps_sum.finish(), FeatureKind.LPS)
-        write_norm_stats(stats_dir / "mfcc.sjfm", mfcc_sum.finish(), FeatureKind.MFCC)
-        write_manifest(out_dir / MANIFEST_NAME, entries)
+        for kind, name in _STATS_FILES.items():
+            written.append(stats_dir / name)
+            write_norm_stats(written[-1], sums[kind].finish(), kind)
+        written.append(out_dir / MANIFEST_NAME)
+        write_manifest(written[-1], entries)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -410,11 +402,7 @@ def build_corpus(
 
 
 def read_corpus_stats(corpus_dir: str | Path) -> dict[FeatureKind, NormStats]:
-    stats_dir = Path(corpus_dir) / STATS_DIR
-    return {
-        FeatureKind.LPS: read_norm_stats(stats_dir / "lps.sjfm"),
-        FeatureKind.MFCC: read_norm_stats(stats_dir / "mfcc.sjfm"),
-    }
+    return {kind: read_norm_stats(Path(corpus_dir) / STATS_DIR / name) for kind, name in _STATS_FILES.items()}
 
 
 def build_input_rows(
@@ -446,9 +434,16 @@ def build_input_rows(
     return frames, windows
 
 
+def feature_widths(variant: Variant, lps_dims: int, mfcc_dims: int) -> tuple[int, dict[FeatureKind, int]]:
+    """The width of one input frame and of each head, in order; a mask is as wide as the LPS."""
+    widths = {FeatureKind.LPS: lps_dims, FeatureKind.MFCC: mfcc_dims, FeatureKind.IBM: lps_dims}
+    frame = sum(widths[kind] for kind in variant.input_kinds)
+    return frame, {kind: widths[kind] for kind in variant.head_kinds}
+
+
 def input_dim(variant: Variant, lps_dims: int, mfcc_dims: int, tau: int) -> int:
-    feat_dims = lps_dims + (mfcc_dims if variant.mfcc_in_input else 0)
-    return feat_dims * (2 * tau + 1) + feat_dims
+    """2 tau + 1 spliced frames, then the noise-aware estimate."""
+    return feature_widths(variant, lps_dims, mfcc_dims)[0] * (2 * tau + 2)
 
 
 @dataclass
@@ -479,26 +474,16 @@ class TrainingData:
 
     def take(self, rows) -> "TrainingData":
         """The rows picked by an index array or a slice; shares the frame store."""
-        return TrainingData(
-            frames=self.frames,
-            windows=self.windows[rows],
-            targets_lps=self.targets_lps[rows],
-            targets_mfcc=None if self.targets_mfcc is None else self.targets_mfcc[rows],
-            targets_ibm=None if self.targets_ibm is None else self.targets_ibm[rows],
-            variant=self.variant,
-        )
+        blocks = (self.targets_lps, self.targets_mfcc, self.targets_ibm)
+        taken = (None if block is None else block[rows] for block in blocks)
+        return TrainingData(self.frames, self.windows[rows], *taken, self.variant)
 
     def targets(self, kind: FeatureKind) -> np.ndarray:
         """The target block a head of the given kind is trained against."""
-        if kind == FeatureKind.LPS:
-            return self.targets_lps
-        if kind == FeatureKind.MFCC:
-            if self.targets_mfcc is None:
-                raise ValueError("rows have no cepstral targets")
-            return self.targets_mfcc
-        if self.targets_ibm is None:
-            raise ValueError("rows have no mask targets")
-        return self.targets_ibm
+        block = (self.targets_lps, self.targets_mfcc, self.targets_ibm)[kind]  # kinds are 0, 1, 2
+        if block is None:
+            raise ValueError(f"rows have no {'cepstral' if kind == FeatureKind.MFCC else 'mask'} targets")
+        return block
 
 
 def load_training_data(
@@ -512,19 +497,18 @@ def load_training_data(
     """Read the given manifest entries into float32 frames, windows and targets.
 
     The frame store lays each utterance's build_input_rows store end to end,
-    and offsets its windows to match. The LPS/MFCC targets are normalized
-    with the noisy-data statistics; mask targets stay raw {0, 1}. Every
-    array is allocated once, sized from the container headers.
+    and offsets its windows to match. Targets of a kind with statistics are
+    normalized with the noisy-data statistics; mask targets stay raw {0, 1}.
+    Every array is allocated once, sized from the container headers.
     """
     features_dir = Path(corpus_dir) / FEATURES_DIR
-    want_mfcc = FeatureKind.MFCC in variant.head_kinds
-    want_ibm = FeatureKind.IBM in variant.head_kinds
-    lps_dims = stats[FeatureKind.LPS].dims
-    mfcc_dims = stats[FeatureKind.MFCC].dims if want_mfcc else 0
-    feat_dims = lps_dims + (mfcc_dims if variant.mfcc_in_input else 0)
+    dims = {kind: s.dims for kind, s in stats.items()}
+    frame_dims, head_dims = feature_widths(variant, dims[FeatureKind.LPS], dims.get(FeatureKind.MFCC, 0))
+    inputs = {kind: _FEATURE_FILES["input", kind] for kind in variant.input_kinds}
+    targets = {kind: _FEATURE_FILES["target", kind] for kind in variant.head_kinds}
     lengths = []
     for entry in entries:
-        path = feature_path(features_dir, entry.utterance_id, "noisy_lps")
+        path = feature_path(features_dir, entry.utterance_id, inputs[FeatureKind.LPS])
         n_frames, _ = container.read_shape(path)
         if n_frames < noise_aware_frames:
             raise FormatError(
@@ -533,39 +517,37 @@ def load_training_data(
             )
         lengths.append(n_frames)
     n_rows = sum(lengths)
-    frames = np.empty((n_rows + len(entries), feat_dims), dtype=np.float32)
+    frames = np.empty((n_rows + len(entries), frame_dims), dtype=np.float32)
     windows = np.empty((n_rows, 2 * tau + 2), dtype=np.intp)
-    t_lps = np.empty((n_rows, lps_dims), dtype=np.float32)
-    t_mfcc = np.empty((n_rows, mfcc_dims), dtype=np.float32) if want_mfcc else None
-    t_ibm = np.empty((n_rows, lps_dims), dtype=np.float32) if want_ibm else None
+    blocks = {kind: np.empty((n_rows, width), dtype=np.float32) for kind, width in head_dims.items()}
     start = 0
     for u, (entry, n_frames) in enumerate(zip(entries, lengths)):
         rows = slice(start, start + n_frames)
         store = start + u  # each utterance before this one added a noise row
 
-        def read(name: str) -> np.ndarray:
+        def read(kind: FeatureKind, name: str, width: int) -> np.ndarray:
             path = feature_path(features_dir, entry.utterance_id, name)
             block = container.read_features(path)
             if block.n_frames != n_frames:
                 raise FormatError(f"{path}: {block.n_frames} frames, the noisy LPS has {n_frames}")
+            if (block.kind, block.dims) != (kind, width):
+                raise FormatError(
+                    f"{path}: {block.dims} {block.kind.name} columns, expected {width} {kind.name}"
+                )
             return block.data
 
+        noisy = {kind: read(kind, name, dims[kind]) for kind, name in inputs.items()}
         utt_frames, utt_windows = build_input_rows(
-            read("noisy_lps"),
-            read("noisy_mfcc") if variant.mfcc_in_input else None,
-            stats,
-            tau,
-            noise_aware_frames,
+            noisy[FeatureKind.LPS], noisy.get(FeatureKind.MFCC), stats, tau, noise_aware_frames
         )
         frames[store : store + n_frames + 1] = utt_frames
         np.add(utt_windows, store, out=windows[rows])
-        t_lps[rows] = normalize(read("clean_lps"), stats[FeatureKind.LPS])
-        if want_mfcc:
-            t_mfcc[rows] = normalize(read("clean_mfcc"), stats[FeatureKind.MFCC])
-        if want_ibm:
-            t_ibm[rows] = read("ibm")
+        for kind, name in targets.items():
+            block = read(kind, name, head_dims[kind])
+            blocks[kind][rows] = normalize(block, stats[kind]) if kind in _STATS_FILES else block
         start += n_frames
-    return TrainingData(frames, windows, t_lps, t_mfcc, t_ibm, variant)
+    # The target fields follow FeatureKind's order: LPS, MFCC, IBM.
+    return TrainingData(frames, windows, *(blocks.get(kind) for kind in FeatureKind), variant)
 
 
 def assemble_batches(data: TrainingData, batch_size: int, shuffle_seed: int) -> Iterator[TrainingData]:

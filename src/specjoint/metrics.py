@@ -211,9 +211,9 @@ def score_pairs(
 
     Both WAVs are read at sample_rate and cut to the shorter length. Returns
     (entry, score) pairs, the ids with no enhanced WAV, and (enhanced path,
-    reason) for each pair that score rejects with a SpecJointError, each in
-    id order; map_fn may run the scoring in parallel, as long as it keeps
-    that order.
+    reason) for each pair whose enhanced WAV cannot be read or that score
+    rejects with a SpecJointError, each in id order; map_fn may run the
+    scoring in parallel, as long as it keeps that order.
     """
     enhanced_dir = Path(enhanced_dir)
     present, missing = [], []
@@ -224,17 +224,18 @@ def score_pairs(
             missing.append(entry.utterance_id)
 
     def read_and_score(entry):
+        # An unreadable clean WAV is a fault of the corpus or config: it ends the run.
         clean = read_wav(entry.clean_path, expected_rate=sample_rate)
-        enhanced = read_wav(enhanced_dir / f"{entry.utterance_id}.wav", expected_rate=sample_rate)
-        clean_samples, enhanced_samples = _aligned(clean, enhanced)
         try:
+            enhanced = read_wav(enhanced_dir / f"{entry.utterance_id}.wav", expected_rate=sample_rate)
+            clean_samples, enhanced_samples = _aligned(clean, enhanced)
             return score(Waveform(clean_samples, sample_rate), Waveform(enhanced_samples, sample_rate))
-        except SpecJointError as exc:
+        except (SpecJointError, OSError) as exc:
             return exc
 
     scored, failed = [], []
     for entry, result in zip(present, map_fn(read_and_score, present)):
-        if isinstance(result, SpecJointError):
+        if isinstance(result, Exception):
             failed.append((enhanced_dir / f"{entry.utterance_id}.wav", str(result)))
         else:
             scored.append((entry, result))

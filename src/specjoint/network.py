@@ -21,7 +21,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .corpus import NormStats, TrainingData, Variant, assemble_batches
+from .corpus import NormStats, TrainingData, Variant, assemble_batches, feature_widths
 from .errors import ConfigError, FormatError, TrainingDivergedError
 from .features import FeatureKind
 
@@ -137,13 +137,9 @@ class EpochStats:
 
 
 def head_layout(variant: Variant, lps_dims: int, mfcc_dims: int) -> tuple[HeadSpec, ...]:
-    widths = {FeatureKind.LPS: lps_dims, FeatureKind.MFCC: mfcc_dims, FeatureKind.IBM: lps_dims}
-    heads = []
-    offset = 0
-    for kind in variant.head_kinds:
-        heads.append(HeadSpec(kind, offset, widths[kind]))
-        offset += widths[kind]
-    return tuple(heads)
+    widths = feature_widths(variant, lps_dims, mfcc_dims)[1]
+    offsets = itertools.accumulate(widths.values(), initial=0)
+    return tuple(HeadSpec(kind, offset, width) for (kind, width), offset in zip(widths.items(), offsets))
 
 
 def init_model(

@@ -31,8 +31,9 @@ def read_wav(path: str | Path, expected_rate: int | None = None) -> Waveform:
             if expected_rate is not None and rate != expected_rate:
                 raise AudioFormatError(f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
             raw = handle.readframes(handle.getnframes())
-    except wave.Error as exc:
-        raise AudioFormatError(f"{path}: not a valid PCM WAV file ({exc})") from exc
+    except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside its header
+        detail = str(exc) or "it ends inside its header"
+        raise AudioFormatError(f"{path}: not a valid PCM WAV file ({detail})") from exc
     if len(raw) % 2:
         raise AudioFormatError(f"{path}: sample data ends mid-sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _SCALE

@@ -30,6 +30,7 @@ from specjoint import (
     load_model,
     loss_and_output_grad,
     mel_bank,
+    read_features,
     read_manifest,
     read_wav,
     save_model,
@@ -70,6 +71,21 @@ def assert_one_line_error(result: subprocess.CompletedProcess, *names: str) -> N
     assert "Traceback" not in result.stderr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and all(name in lines[0] for name in names), result.stderr
+
+
+# Files that end inside a WAV header: no bytes, 7 bytes of text, and the
+# first 4 and 20 bytes of a valid WAV.
+CUT_WAVS = ["empty", "garbage", "riff", "cut-fmt"]
+
+
+def write_unreadable_wav(path: Path, case: str) -> None:
+    """A WAV cut inside its header (a CUT_WAVS case), or a directory in its place."""
+    if case == "directory":
+        path.mkdir(parents=True)
+        return
+    write_wav(path, harmonic_voice(0.6, 16000, seed=3))
+    valid = path.read_bytes()
+    path.write_bytes({"empty": b"", "garbage": b"garbage", "riff": valid[:4], "cut-fmt": valid[:20]}[case])
 
 
 class TestRunConfig:
@@ -175,6 +191,10 @@ _BY_TYPE = {
 _BY_NAME = {
     "stft_window": st.sampled_from(WINDOW_NAMES),
     "variant": st.sampled_from([v.value for v in Variant]),
+    # RunConfig rejects values below these.
+    "seed": st.integers(0, 2**63),
+    "context_tau": st.integers(0, 2**63),
+    "noise_aware_frames": st.integers(1, 2**63),
 }
 
 
@@ -264,7 +284,9 @@ class TestPrepare:
         assert not (tmp_path / "out" / "manifest.tsv").exists()
 
     @pytest.mark.parametrize(
-        "case", ["rate", "truncated", "short", "empty-noise", "zero-noise", "zero-clean"]
+        "case",
+        ["rate", "truncated", "short", "empty-noise", "zero-noise", "zero-clean"]
+        + [f"header-{cut}" for cut in CUT_WAVS],
     )
     def test_bad_wav_named_once(self, env, tmp_path, case):
         clean_dir, noise_dir = tmp_path / "clean", tmp_path / "noise"
@@ -282,6 +304,9 @@ class TestPrepare:
             write_wav(bad, harmonic_voice(1.0, 16000, seed=3))
             bad.write_bytes(bad.read_bytes()[:-1])
             reason = "sample data ends mid-sample"
+        elif case.startswith("header-"):
+            write_unreadable_wav(bad, case.removeprefix("header-"))
+            reason = "not a valid PCM WAV file"
         else:
             write_wav(bad, Waveform(np.zeros(0 if case == "empty-noise" else 16000), 16000))
             reason = "no nonzero sample"
@@ -328,6 +353,46 @@ class TestPrepare:
         ])
         assert code == 0
         assert "seed = 11\n" in (out / "effective-config.txt").read_text()
+
+    def test_out_dir_that_is_a_file_fails_in_one_line(self, env, tmp_path):
+        out = tmp_path / "corpus"
+        out.write_text("kept")
+        result = run_child("prepare", str(env["clean_dir"]), str(env["noise_dir"]), str(out))
+        assert_one_line_error(result, str(out))
+        assert out.read_text() == "kept"
+
+
+class TestRejectedConfig:
+    """Values that used to end a command deep inside numpy fail when the config loads."""
+
+    @pytest.mark.parametrize(
+        "command, line, reason",
+        [
+            ("prepare", None, "seed must be >= 0, got -1"),
+            ("train", "seed = -1", "seed must be >= 0, got -1"),
+            ("train", "context.tau = -1", "context.tau must be >= 0, got -1"),
+            ("prepare", "noise_aware.frames = 0", "noise_aware.frames must be >= 1, got 0"),
+            ("train", "noise_aware.frames = 0", "noise_aware.frames must be >= 1, got 0"),
+            ("prepare", "snr.grid = nan", "bad value for snr.grid: expected a finite number"),
+            ("prepare", "snr.grid = 20,1e400", "bad value for snr.grid: expected a finite number"),
+            ("prepare", "split.val_fraction = nan", "bad value for split.val_fraction"),
+        ],
+        ids=["seed-flag", "seed", "tau", "frames-prepare", "frames-train", "grid-nan", "grid-inf",
+             "val-nan"],
+    )
+    def test_fails_in_one_line_and_writes_nothing(self, env, tmp_path, command, line, reason):
+        out = tmp_path / "out"
+        if line is None:
+            args = ["--seed", "-1"]
+        else:
+            (tmp_path / "bad.cfg").write_text(line + "\n")
+            args = ["--config", str(tmp_path / "bad.cfg")]
+        if command == "prepare":
+            result = run_child("prepare", *args, str(env["clean_dir"]), str(env["noise_dir"]), str(out))
+        else:
+            result = run_child("train", *args, str(env["corpus"]), str(out / "m.sjnn"))
+        assert_one_line_error(result, reason)
+        assert not out.exists()
 
 
 class TestTrain:
@@ -390,6 +455,13 @@ class TestTrain:
         )
         assert_one_line_error(result, "error:", f"{config_dims} ", f"has {corpus_dims}")
         assert not ckpt.exists()
+
+    def test_checkpoint_directory_fails_before_training(self, env, tmp_path):
+        ckpt = tmp_path / "m.sjnn"
+        ckpt.mkdir()
+        result = run_child("train", "--config", str(env["config"]), str(env["corpus"]), str(ckpt))
+        assert_one_line_error(result, f"checkpoint {ckpt} is a directory")
+        assert list(tmp_path.iterdir()) == [ckpt] and not any(ckpt.iterdir())
 
     def test_unknown_variant_rejected_by_parser(self, env):
         with pytest.raises(SystemExit):
@@ -492,6 +564,18 @@ class TestMalformedCorpus:
         errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1, result.stderr
         assert "short__white__snr0dB.noisy_lps.sjfm: 2 frames is too short" in errors[0]
+
+    def test_narrow_target_container(self, env, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(env["corpus"], corpus)
+        entry = next(e for e in read_manifest(corpus / "manifest.tsv") if e.split == "train")
+        target = corpus / "features" / f"{entry.utterance_id}.clean_lps.sjfm"
+        write_features(target, FeatureMatrix(read_features(target).data[:, :100], FeatureKind.LPS))
+        result = run_child("train", "--config", str(env["config"]), str(corpus), str(tmp_path / "m.sjnn"))
+        assert result.returncode == 1 and "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {target}: 100 LPS columns, expected 257 LPS"], result.stderr
+        assert not (tmp_path / "m.sjnn").exists()
 
     @pytest.mark.parametrize(
         "rows", [np.ones((3, 257)), np.vstack([np.zeros(257), np.zeros(257)])],
@@ -608,6 +692,32 @@ class TestEnhance:
         assert sorted(written[0]) == ["a.wav", "c.wav"]
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("case", [*CUT_WAVS, "directory"])
+    def test_file_that_cannot_be_read_fails_only_itself(self, env, tmp_path, caplog, case):
+        src = tmp_path / "in"
+        write_wav(src / "a.wav", harmonic_voice(1.0, 16000, seed=7))
+        write_unreadable_wav(src / "b.wav", case)
+        write_wav(src / "c.wav", harmonic_voice(1.0, 16000, f0=210.0, seed=8))
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            caplog.clear()
+            code = main([
+                "enhance", "--config", str(env["config"]), "--jobs", jobs,
+                str(env["ckpt"]), str(src), str(out),
+            ])
+            assert code == 1
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert len(errors) == 1 and errors[0].startswith(f"error: {src / 'b.wav'}: ")
+            assert sorted(p.name for p in out.glob("*.wav")) == ["a.wav", "c.wav"]
+
+    def test_checkpoint_directory_fails_in_one_line(self, env, tmp_path):
+        result = run_child(
+            "enhance", "--config", str(env["config"]),
+            str(tmp_path), str(env["corpus"] / "noisy"), str(tmp_path / "o"),
+        )
+        assert_one_line_error(result, str(tmp_path))
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("byte", ["head", "stats"])
     def test_unknown_kind_byte_fails_in_one_line(self, env, tmp_path, byte):
         blob = bytearray(env["ckpt"].read_bytes())
@@ -721,6 +831,25 @@ class TestEvaluate:
             str(tmp_path / "x.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("case", [*CUT_WAVS, "directory"])
+    def test_enhanced_file_that_cannot_be_read_fails_only_itself(self, env, tmp_path, caplog, case):
+        enhanced = tmp_path / "enhanced"
+        shutil.copytree(env["enhanced"], enhanced)
+        test_ids = sorted(
+            e.utterance_id for e in read_manifest(env["corpus"] / "manifest.tsv") if e.split == "test"
+        )
+        bad = enhanced / f"{test_ids[1]}.wav"
+        bad.unlink()
+        write_unreadable_wav(bad, case)
+        out_csv = tmp_path / "report.csv"
+        code = main(["evaluate", "--config", str(env["config"]), str(env["corpus"]), str(enhanced), str(out_csv)])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: ")
+        lines = out_csv.read_text().splitlines()
+        assert lines[-1] == f"failed,,utterance,{test_ids[1]}"
+        assert lines[-2].startswith("overall,,stoi,")
 
     def test_nothing_to_score(self, env, tmp_path):
         # The enhanced directory holds WAVs, but none of the test split's.

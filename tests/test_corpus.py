@@ -573,11 +573,19 @@ class TestBuildCorpus:
         assert set(np.unique(data.targets_ibm)) <= {0.0, 1.0}
 
     @pytest.mark.parametrize(
-        "failing, call", [("extract_mixture_features", 3), ("write_manifest", 1)]
+        "failing, call",
+        [
+            ("extract_mixture_features", 3),
+            ("write_wav", 2),
+            ("write_norm_stats", 2),
+            ("write_manifest", 1),
+        ],
     )
     def test_failure_removes_only_what_it_wrote(self, corpus, tmp_path, monkeypatch, failing, call):
-        # The third mixture fails after two were written, or the manifest
-        # fails after everything else was.
+        # The third mixture fails after two were written; the second noisy
+        # WAV after a whole mixture and the second's feature files were; the
+        # MFCC stats after the LPS stats were; or the manifest after
+        # everything else was.
         root, _, _ = corpus
         out_dir = tmp_path / "out"
         (out_dir / "noisy").mkdir(parents=True)
@@ -688,6 +696,22 @@ class TestLoadTrainingData:
         held = sum(a.nbytes for a in arrays)
         assert peak < 1.5 * held, f"peak {peak} B for {held} B returned"
 
+    @pytest.mark.parametrize(
+        "variant, name, data, kind, message",
+        [
+            (Variant.BASELINE, "clean_lps", np.zeros((8, 3)), FeatureKind.LPS, "3 LPS columns, expected 5 LPS"),
+            (Variant.MFCC, "noisy_mfcc", np.zeros((8, 2)), FeatureKind.MFCC, "2 MFCC columns, expected 3 MFCC"),
+            (Variant.IBM, "ibm", np.zeros((8, 5)), FeatureKind.LPS, "5 LPS columns, expected 5 IBM"),
+        ],
+        ids=["target-width", "input-width", "kind"],
+    )
+    def test_misfit_container_named(self, tmp_path, variant, name, data, kind, message):
+        entries, stats = write_feature_corpus(tmp_path, [8], 5, 3, seed=1)
+        target = feature_path(tmp_path / corpus_mod.FEATURES_DIR, entries[0].utterance_id, name)
+        write_features(target, FeatureMatrix(data, kind))
+        with pytest.raises(FormatError, match=re.escape(f"{target}: {message}")):
+            load_training_data(tmp_path, entries, variant, stats)
+
     def test_misaligned_target_named(self, tmp_path):
         entries, stats = write_feature_corpus(tmp_path, [8], 5, 3, seed=1)
         target = feature_path(tmp_path / corpus_mod.FEATURES_DIR, entries[0].utterance_id, "clean_lps")
@@ -712,3 +736,8 @@ class TestAssignSplits:
     def test_rejects_bad_fractions(self):
         with pytest.raises(ConfigError, match="sum to < 1"):
             assign_splits([Path("a.wav")], 0.5, 0.5, seed=0)
+
+    @pytest.mark.parametrize("val, test", [(float("nan"), 0.2), (0.1, float("nan"))])
+    def test_rejects_nan_fractions(self, val, test):
+        with pytest.raises(ConfigError, match="sum to < 1"):
+            assign_splits([Path("a.wav")], val, test, seed=0)

@@ -67,6 +67,20 @@ class TestValidation:
         with pytest.raises(AudioFormatError, match="not a valid PCM WAV"):
             read_wav(path)
 
+    @pytest.mark.parametrize("keep", [0, 4, 20], ids=["empty", "riff", "cut-fmt"])
+    def test_file_ending_inside_header_rejected(self, tmp_path, keep):
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(np.zeros(160), 16000))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(AudioFormatError, match=f"{path}: not a valid PCM WAV file"):
+            read_wav(path)
+
+    def test_seven_bytes_rejected(self, tmp_path):
+        path = tmp_path / "short.wav"
+        path.write_bytes(b"garbage")
+        with pytest.raises(AudioFormatError, match=f"{path}: not a valid PCM WAV file"):
+            read_wav(path)
+
     def test_data_ending_mid_sample_rejected(self, tmp_path):
         path = tmp_path / "cut.wav"
         write_wav(path, Waveform(np.zeros(16000), 16000))
