@@ -20,7 +20,7 @@ from . import metrics as metrics_mod
 from .config import RunConfig
 from .corpus import Variant, load_training_data, read_corpus_stats, read_manifest
 from .dsp import min_samples, stft
-from .enhance import enhance_waveform, write_diagnostics
+from .enhance import check_post_process, enhance_waveform, write_diagnostics
 from .errors import ConfigError, SpecJointError, TrainingDivergedError
 from .features import FeatureKind, lps
 from .network import LOSS_NAMES, EpochStats, init_model, load_model, save_model, train
@@ -164,20 +164,8 @@ def cmd_train(args) -> int:
     if not train_entries:
         log.error("manifest has no train-split entries")
         return 1
-    log.info(
-        "training %s on %d train / %d val utterances",
-        variant.value,
-        len(train_entries),
-        len(val_entries),
-    )
-    train_data = load_training_data(
-        corpus_dir, train_entries, variant, stats, config.context_tau, config.noise_aware_frames
-    )
-    val_data = None
-    if val_entries:
-        val_data = load_training_data(
-            corpus_dir, val_entries, variant, stats, config.context_tau, config.noise_aware_frames
-        )
+    # Check every train.* value before any row is read.
+    train_config = config.train_config()
     model = init_model(
         variant,
         corpus_mod.input_dim(variant, config.lps_dims, config.mfcc_dims, config.context_tau),
@@ -190,9 +178,17 @@ def cmd_train(args) -> int:
         hidden_layers=config.hidden_layers,
         seed=config.seed,
     )
+    log.info(
+        "training %s on %d train / %d val utterances", variant.value, len(train_entries), len(val_entries)
+    )
+    train_data, val_data = (
+        load_training_data(corpus_dir, split, variant, stats, config.context_tau, config.noise_aware_frames)
+        if split else None
+        for split in (train_entries, val_entries)
+    )
     exit_code = 0
     try:
-        history = train(model, train_data, config.train_config(), val_data, log=log.info)
+        history = train(model, train_data, train_config, val_data, log=log.info)
     except TrainingDivergedError as exc:
         history = exc.history
         log.error("%s; keeping last finite parameters", exc)
@@ -212,15 +208,12 @@ def cmd_enhance(args) -> int:
     if not wav_paths:
         log.error("no WAV files in %s", in_path)
         return 1
+    if out_dir.resolve() == (in_path if in_path.is_dir() else in_path.parent).resolve():
+        raise ConfigError(f"output directory {out_dir} holds the input; enhancing would overwrite it")
     post = config.post_config()
     bank = config.bank() if model.variant.mfcc_in_input else None
-    # Fail the configuration check before touching any files.
-    if post.enabled and not any(h.kind == FeatureKind.IBM for h in model.heads):
-        log.error(
-            "checkpoint variant %r has no mask head; rerun with --post-process off",
-            model.variant.value,
-        )
-        return 1
+    # Fail the configuration checks before touching any files.
+    check_post_process(model, post)
     _check_dims(config, model.stats, model.variant.mfcc_in_input, f"checkpoint {args.checkpoint}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -290,13 +283,8 @@ def cmd_distortion(args) -> int:
         return metrics_mod.distortion_profile(clean_lps.data, enhanced_lps.data)
 
     scored, missing, failed = _score_split(args, config, profile_of)
-    profile = metrics_mod.DistortionProfile.empty(config.lps_dims)
-    for _, utterance_profile in scored:
-        profile = profile.merge(utterance_profile)
-    Path(args.out_csv).write_text(
-        metrics_mod.profile_csv(profile, config.sample_rate, config.stft_fft_size),
-        encoding="utf-8",
-    )
+    profile = metrics_mod.profile_csv(scored, config.sample_rate, config.stft_fft_size)
+    Path(args.out_csv).write_text(profile, encoding="utf-8")
     return 1 if missing or failed else 0
 
 
@@ -310,7 +298,8 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     if seed:
         parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="parallel workers for per-utterance work"
+        "--jobs", type=int, default=1, metavar="N",
+        help="parallel workers: one file each for enhance, one clean voice each for scoring",
     )
 
 

@@ -165,6 +165,12 @@ def reconstruct(
     return Waveform(np.clip(raw.samples, -1.0, 1.0), sample_rate), clipped
 
 
+def check_post_process(model: Model, post: PostProcessConfig) -> None:
+    """Raise unless the gate can run: when enabled, it needs the model's mask head."""
+    if post.enabled and not any(h.kind == FeatureKind.IBM for h in model.heads):
+        raise ConfigError(f"variant {model.variant.value!r} has no mask head; turn post-processing off")
+
+
 def enhance_waveform(
     model: Model,
     noisy: Waveform,
@@ -179,10 +185,7 @@ def enhance_waveform(
     enabled the model must have a mask head.
     """
     post = post or PostProcessConfig(enabled=False)
-    if post.enabled and not any(h.kind == FeatureKind.IBM for h in model.heads):
-        raise ConfigError(
-            f"variant {model.variant.value!r} has no mask head; disable post-processing"
-        )
+    check_post_process(model, post)
     estimated, mask, spec, noisy_lps = enhance_features(model, noisy, stft_config, bank)
     final = estimated.data
     counters = {"n_frames": final.shape[0], "n_bins": final.shape[1]}

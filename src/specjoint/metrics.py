@@ -3,12 +3,13 @@
 Three measures: segmental SNR over speech-active frames, a short-time
 intelligibility score built from one-third-octave envelope correlations,
 and a per-frequency-bin log-spectral error profile. score_pairs is the one
-reader of clean/enhanced pairs; it cuts each pair to the shorter length.
+reader of clean/enhanced pairs; it reads each clean voice once and cuts
+each pair to the shorter length.
 """
 
 import csv
 import io
-from dataclasses import dataclass
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -160,46 +161,31 @@ def stoi(reference: Waveform, test: Waveform) -> float:
     return float(np.mean(np.sum(x * y, axis=-1)))
 
 
-@dataclass
-class DistortionProfile:
-    """Running per-bin mean of (clean - estimated) log-power differences.
-
-    Sum-based, so accumulation order does not matter and profiles merge
-    associatively.
-    """
-
-    total: np.ndarray
-    n_frames: int = 0
-
-    @classmethod
-    def empty(cls, n_bins: int) -> "DistortionProfile":
-        return cls(np.zeros(n_bins), 0)
-
-    @property
-    def per_bin(self) -> np.ndarray:
-        if self.n_frames == 0:
-            raise MetricError("no frames accumulated")
-        return self.total / self.n_frames
-
-    def merge(self, other: "DistortionProfile") -> "DistortionProfile":
-        if self.total.shape != other.total.shape:
-            raise ValueError("profiles cover different bin counts")
-        return DistortionProfile(self.total + other.total, self.n_frames + other.n_frames)
-
-
-def distortion_profile(clean_lps: np.ndarray, estimated_lps: np.ndarray) -> DistortionProfile:
+def distortion_profile(clean_lps: np.ndarray, estimated_lps: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-bin sum of (clean - estimated) log-power differences, and the frame count."""
     if clean_lps.shape != estimated_lps.shape:
         raise ValueError(f"shape mismatch: clean {clean_lps.shape}, estimated {estimated_lps.shape}")
-    return DistortionProfile((clean_lps - estimated_lps).sum(axis=0), clean_lps.shape[0])
+    return (clean_lps - estimated_lps).sum(axis=0), clean_lps.shape[0]
 
 
-def profile_csv(profile: DistortionProfile, sample_rate: int, fft_size: int) -> str:
-    """Rows of bin_hz,mean_distortion for external plotting."""
+def profile_csv(scored, sample_rate: int, fft_size: int) -> str:
+    """Rows of bin_hz,mean_distortion for external plotting.
+
+    scored holds score_pairs' (entry, distortion_profile) pairs. Their sums
+    are added in the order given, and each bin's mean is taken over every
+    frame of every utterance.
+    """
+    total, n_frames = np.zeros(fft_size // 2 + 1), 0
+    for _, (bin_sums, frames) in scored:
+        if bin_sums.shape != total.shape:
+            raise ValueError(f"profiles cover different bin counts: {bin_sums.shape} vs {total.shape}")
+        total, n_frames = total + bin_sums, n_frames + frames
+    if n_frames == 0:
+        raise MetricError("no frames accumulated")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["bin_hz", "mean_distortion"])
-    per_bin = profile.per_bin
-    for i, value in enumerate(per_bin):
+    for i, value in enumerate(total / n_frames):
         writer.writerow([f"{i * sample_rate / fft_size:.2f}", f"{value:.6f}"])
     return buf.getvalue()
 
@@ -209,11 +195,14 @@ def score_pairs(
 ) -> tuple[list[tuple], list[str], list[tuple[Path, str]]]:
     """Apply score(clean, enhanced) to each entry's enhanced <utterance_id>.wav.
 
-    Both WAVs are read at sample_rate and cut to the shorter length. Returns
-    (entry, score) pairs, the ids with no enhanced WAV, and (enhanced path,
-    reason) for each pair whose enhanced WAV cannot be read or that score
-    rejects with a SpecJointError, each in id order; map_fn may run the
-    scoring in parallel, as long as it keeps that order.
+    Both WAVs are read at sample_rate and cut to the shorter length. In id
+    order, each run of pairs that share a clean voice is one unit of work
+    for map_fn, which reads that clean WAV once. Ids begin with the clean
+    stem, so a voice's pairs form one run unless another stem begins with
+    its stem. map_fn may score the runs in parallel, as long as it keeps
+    their order. Returns (entry, score) pairs, the ids with no enhanced WAV,
+    and (enhanced path, reason) for each pair whose enhanced WAV cannot be
+    read or that score rejects with a SpecJointError, each in id order.
     """
     enhanced_dir = Path(enhanced_dir)
     present, missing = [], []
@@ -222,10 +211,14 @@ def score_pairs(
             present.append(entry)
         else:
             missing.append(entry.utterance_id)
+    runs = [list(run) for _, run in groupby(present, key=lambda e: e.clean_path)]
 
-    def read_and_score(entry):
-        # An unreadable clean WAV is a fault of the corpus or config: it ends the run.
-        clean = read_wav(entry.clean_path, expected_rate=sample_rate)
+    def score_run(run) -> list:
+        # An unreadable clean WAV is a fault of the corpus or config: it ends the command.
+        clean = read_wav(run[0].clean_path, expected_rate=sample_rate)
+        return [score_pair(clean, entry) for entry in run]
+
+    def score_pair(clean: Waveform, entry):
         try:
             enhanced = read_wav(enhanced_dir / f"{entry.utterance_id}.wav", expected_rate=sample_rate)
             clean_samples, enhanced_samples = _aligned(clean, enhanced)
@@ -234,7 +227,7 @@ def score_pairs(
             return exc
 
     scored, failed = [], []
-    for entry, result in zip(present, map_fn(read_and_score, present)):
+    for entry, result in zip(present, chain.from_iterable(map_fn(score_run, runs))):
         if isinstance(result, Exception):
             failed.append((enhanced_dir / f"{entry.utterance_id}.wav", str(result)))
         else:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import os
 import shutil
@@ -463,6 +464,32 @@ class TestTrain:
         assert_one_line_error(result, f"checkpoint {ckpt} is a directory")
         assert list(tmp_path.iterdir()) == [ckpt] and not any(ckpt.iterdir())
 
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("train.epochs", "0", "epochs must be >= 1, got 0"),
+            ("train.hidden_units", "0", "hidden_units and hidden_layers must be >= 1"),
+            ("train.momentum", "1", "momentum must be in [0, 1)"),
+            ("train.dropout", "1", "dropout must be in [0, 1)"),
+        ],
+        ids=["epochs", "hidden-units", "momentum", "dropout"],
+    )
+    def test_bad_train_value_fails_before_rows_are_read(
+        self, env, tmp_path, monkeypatch, caplog, key, value, reason
+    ):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("training rows were read")
+
+        monkeypatch.setattr("specjoint.cli.load_training_data", no_rows)
+        kept = [line for line in BASE_CONFIG.splitlines() if not line.startswith(f"{key} ")]
+        config_path = tmp_path / "bad.cfg"
+        config_path.write_text("\n".join([*kept, f"{key} = {value}"]) + "\n")
+        ckpt = tmp_path / "m.sjnn"
+        assert main(["train", "--config", str(config_path), str(env["corpus"]), str(ckpt)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith("error: ") and reason in errors[0]
+        assert list(tmp_path.iterdir()) == [config_path]
+
     def test_unknown_variant_rejected_by_parser(self, env):
         with pytest.raises(SystemExit):
             main(["train", "--variant", "bogus", str(env["corpus"]), "x.sjnn"])
@@ -619,14 +646,30 @@ class TestEnhance:
         for path in env["enhanced"].glob("*.wav"):
             assert (out / path.name).read_bytes() == path.read_bytes()
 
-    def test_gate_without_mask_head_fails_early(self, env, tmp_path):
+    def test_gate_without_mask_head_fails_early(self, env, tmp_path, caplog):
         out = tmp_path / "gated"
         code = main([
             "enhance", "--config", str(env["config"]), "--post-process", "on",
             str(env["ckpt"]), str(env["corpus"] / "noisy"), str(out),
         ])
         assert code == 1
-        assert not list(out.glob("*.wav")) if out.exists() else True
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "no mask head" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["directory", "file", "dotted"])
+    def test_out_dir_that_is_the_input_directory_fails(self, env, tmp_path, form):
+        inputs = tmp_path / "in"
+        shutil.copytree(env["corpus"] / "noisy", inputs)
+        before = {path.name: path.read_bytes() for path in inputs.iterdir()}
+        source = sorted(inputs.glob("*.wav"))[0] if form == "file" else inputs
+        out_dir = tmp_path / "in" / ".." / "in" if form == "dotted" else inputs
+        result = run_child(
+            "enhance", "--config", str(env["config"]), "--post-process", "off",
+            str(env["ckpt"]), str(source), str(out_dir),
+        )
+        assert_one_line_error(result, "error:", str(out_dir))
+        assert {path.name: path.read_bytes() for path in inputs.iterdir()} == before
 
     def test_missing_input_fails(self, env, tmp_path):
         empty = tmp_path / "empty"
@@ -885,8 +928,82 @@ class TestDistortionProfile:
         assert code == 1
 
 
+@pytest.fixture(scope="module")
+def scoring_env(tmp_path_factory):
+    """Four voices, two in the test split, mixed with two noises. The noisy
+    mixtures stand in for enhanced output, so scoring needs no trained model."""
+    root = tmp_path_factory.mktemp("scoring")
+    for i in range(4):
+        voice = harmonic_voice(0.7, 16000, f0=120.0 + 30 * i, seed=20 + i)
+        write_wav(root / "clean" / f"v{i}.wav", voice)
+    for i, name in enumerate(["hiss", "white"]):
+        write_wav(root / "noise" / f"{name}.wav", white_noise(1.0, 16000, seed=30 + i))
+    config_path = root / "run.cfg"
+    config_path.write_text(BASE_CONFIG)
+    corpus_dir = root / "corpus"
+    args = ["prepare", "--config", str(config_path), str(root / "clean"), str(root / "noise")]
+    assert main([*args, str(corpus_dir)]) == 0
+    entries = read_manifest(corpus_dir / "manifest.tsv")
+    test_cleans = sorted({e.clean_path for e in entries if e.split == "test"})
+    assert len(test_cleans) == 2
+    return {"config": config_path, "corpus": corpus_dir, "entries": entries, "test_cleans": test_cleans}
+
+
+def score_noisy(scoring_env, command: str, jobs: str, out_csv: Path, corpus_dir=None) -> int:
+    return main([
+        command, "--config", str(scoring_env["config"]), "--jobs", jobs,
+        str(corpus_dir or scoring_env["corpus"]), str(scoring_env["corpus"] / "noisy"), str(out_csv),
+    ])
+
+
+# Bytes the scoring pass writes for scoring_env's noisy test mixtures.
+SCORING_GOLDENS = {
+    "evaluate": "a08e31b2221e5ca89c65db857662fed687821e7b1ea6f65ac5c82a41452df5c5",
+    "distortion-profile": "3e974101f6282e15deb614a9b74b6e84a8c030b5f62e1d39a84352211f66d9a1",
+}
+
+
 class TestScoringPass:
     """evaluate and distortion-profile read clean/enhanced pairs the same way."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["evaluate", "distortion-profile"])
+    def test_outputs_match_goldens(self, scoring_env, tmp_path, command, jobs):
+        out_csv = tmp_path / "out.csv"
+        assert score_noisy(scoring_env, command, jobs, out_csv) == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == SCORING_GOLDENS[command]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["evaluate", "distortion-profile"])
+    def test_each_clean_voice_is_read_once(self, scoring_env, tmp_path, monkeypatch, command, jobs):
+        reads = []
+
+        def counting_read_wav(path, *args, **kwargs):
+            reads.append(Path(path))
+            return read_wav(path, *args, **kwargs)
+
+        monkeypatch.setattr("specjoint.metrics.read_wav", counting_read_wav)
+        assert score_noisy(scoring_env, command, jobs, tmp_path / "out.csv") == 0
+        clean_dir = scoring_env["test_cleans"][0].parent
+        assert sorted(p for p in reads if p.parent == clean_dir) == scoring_env["test_cleans"]
+        assert len(reads) == 2 + 24  # two cleans, then 2 voices x 2 noises x 6 SNRs
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["evaluate", "distortion-profile"])
+    def test_unreadable_clean_ends_the_run(self, scoring_env, tmp_path, caplog, command, jobs):
+        bad = tmp_path / "clean" / scoring_env["test_cleans"][1].name
+        write_unreadable_wav(bad, "garbage")
+        entries = [
+            dataclasses.replace(e, clean_path=bad) if e.clean_path.name == bad.name else e
+            for e in scoring_env["entries"]
+        ]
+        (tmp_path / "corpus").mkdir()
+        write_manifest(tmp_path / "corpus" / "manifest.tsv", entries)
+        out_csv = tmp_path / "out.csv"
+        assert score_noisy(scoring_env, command, jobs, out_csv, tmp_path / "corpus") == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: not a valid PCM WAV")
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "distortion-profile"])
     def test_jobs_match_serial(self, env, tmp_path, command):

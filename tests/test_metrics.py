@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specjoint import (
-    DistortionProfile,
     MetricError,
     MixSpec,
     Waveform,
@@ -166,36 +165,40 @@ class TestStoiMatchesLoop:
             loop_stoi(dc, dc)
 
 
+def profile_means(profiles, n_bins: int) -> np.ndarray:
+    """The mean_distortion column profile_csv writes for these utterance profiles."""
+    text = profile_csv([(None, profile) for profile in profiles], 16000, 2 * (n_bins - 1))
+    return np.array([float(line.split(",")[1]) for line in text.splitlines()[1:]])
+
+
 class TestDistortionProfile:
     def test_perfect_estimate_gives_zeros(self, rng):
         clean = rng.standard_normal((6, 5))
-        profile = distortion_profile(clean, clean)
-        assert np.array_equal(profile.per_bin, np.zeros(5))
-        assert profile.n_frames == 6
+        bin_sums, n_frames = distortion_profile(clean, clean)
+        assert np.array_equal(bin_sums, np.zeros(5))
+        assert n_frames == 6
 
     def test_constant_offset(self, rng):
         clean = rng.standard_normal((4, 3))
-        profile = distortion_profile(clean, clean - 1.0)
-        assert profile.per_bin == pytest.approx(np.ones(3), rel=1e-12)
+        bin_sums, n_frames = distortion_profile(clean, clean - 1.0)
+        assert bin_sums / n_frames == pytest.approx(np.ones(3), rel=1e-12)
 
     def test_chunked_accumulation(self, rng):
         clean = rng.standard_normal((20, 4))
         est = rng.standard_normal((20, 4))
         whole = distortion_profile(clean, est)
-        running = distortion_profile(clean[:8], est[:8]).merge(distortion_profile(clean[8:], est[8:]))
-        assert running.n_frames == whole.n_frames
-        assert running.per_bin == pytest.approx(whole.per_bin, rel=1e-12)
+        chunks = [distortion_profile(clean[:8], est[:8]), distortion_profile(clean[8:], est[8:])]
+        assert sum(frames for _, frames in chunks) == whole[1]
+        assert profile_means(chunks, 4) == pytest.approx(whole[0] / whole[1], abs=1e-6)
 
     def test_merge(self, rng):
         a = distortion_profile(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
         b = distortion_profile(rng.standard_normal((5, 4)), rng.standard_normal((5, 4)))
-        merged = a.merge(b)
-        assert merged.n_frames == 8
-        assert merged.per_bin == pytest.approx((a.total + b.total) / 8, rel=1e-12)
+        assert profile_means([a, b], 4) == pytest.approx((a[0] + b[0]) / 8, abs=1e-6)
 
     def test_merge_mismatch(self):
         with pytest.raises(ValueError, match="different bin counts"):
-            DistortionProfile.empty(4).merge(DistortionProfile.empty(5))
+            profile_csv([(None, (np.zeros(4), 1)), (None, (np.zeros(5), 1))], 16000, 6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -203,11 +206,11 @@ class TestDistortionProfile:
 
     def test_empty_profile_has_no_mean(self):
         with pytest.raises(MetricError, match="no frames accumulated"):
-            DistortionProfile.empty(3).per_bin
+            profile_csv([], 16000, 4)
 
     def test_csv_layout(self):
         profile = distortion_profile(np.ones((2, 3)), np.zeros((2, 3)))
-        text = profile_csv(profile, sample_rate=16000, fft_size=4)
+        text = profile_csv([(None, profile)], sample_rate=16000, fft_size=4)
         lines = text.splitlines()
         assert lines[0] == "bin_hz,mean_distortion"
         assert lines[1] == "0.00,1.000000"
@@ -285,6 +288,27 @@ class TestEvaluateCondition:
         assert lines[-3] == "overall,,ssnr_db,35.0000"
         assert lines[-2].startswith("overall,,stoi,")
         assert lines[-1] == f"missing,,utterance,{extra.utterance_id}"
+
+
+def test_interleaved_voices_are_scored_against_their_own_clean(tmp_path):
+    # In id order the pairs of stems "a" and "a_" interleave: a__Hum, a___Hum,
+    # a___white, a__white. Each run reads its own clean WAV.
+    entries = []
+    for i, stem in enumerate(["a", "a_"]):
+        voice = harmonic_voice(0.7, 16000, f0=140.0 + 60 * i, seed=i)
+        write_wav(tmp_path / "clean" / f"{stem}.wav", voice)
+        for noise in ["Hum", "white"]:
+            entry = MixSpec(tmp_path / "clean" / f"{stem}.wav", Path(f"{noise}.wav"), 0.0, 0, "test")
+            write_wav(tmp_path / "enhanced" / f"{entry.utterance_id}.wav", voice)
+            entries.append(entry)
+
+    def same_samples(clean, enhanced):
+        return bool(np.array_equal(clean.samples, enhanced.samples))
+
+    scored, missing, failed = metrics.score_pairs(entries, tmp_path / "enhanced", same_samples)
+    assert [e.utterance_id for e, _ in scored] == sorted(e.utterance_id for e in entries)
+    assert [e.clean_path.stem for e, _ in scored] == ["a", "a_", "a_", "a"]
+    assert all(same for _, same in scored) and not missing and not failed
 
 
 class TestReportCsv:
