@@ -179,13 +179,19 @@ def cmd_train(args) -> int:
         seed=config.seed,
     )
     log.info(
-        "training %s on %d train / %d val utterances", variant.value, len(train_entries), len(val_entries)
+        "training %s on %d train / %d val utterances",
+        variant.value,
+        len(train_entries),
+        len(val_entries),
     )
-    train_data, val_data = (
-        load_training_data(corpus_dir, split, variant, stats, config.context_tau, config.noise_aware_frames)
-        if split else None
-        for split in (train_entries, val_entries)
+    train_data = load_training_data(
+        corpus_dir, train_entries, variant, stats, config.context_tau, config.noise_aware_frames
     )
+    val_data = None
+    if val_entries:
+        val_data = load_training_data(
+            corpus_dir, val_entries, variant, stats, config.context_tau, config.noise_aware_frames
+        )
     exit_code = 0
     try:
         history = train(model, train_data, train_config, val_data, log=log.info)
@@ -298,8 +304,7 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     if seed:
         parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parallel workers: one file each for enhance, one clean voice each for scoring",
+        "--jobs", type=int, default=1, metavar="N", help="parallel workers for per-utterance work"
     )
 
 

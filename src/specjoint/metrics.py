@@ -9,7 +9,8 @@ each pair to the shorter length.
 
 import csv
 import io
-from itertools import chain, groupby
+from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -195,14 +196,14 @@ def score_pairs(
 ) -> tuple[list[tuple], list[str], list[tuple[Path, str]]]:
     """Apply score(clean, enhanced) to each entry's enhanced <utterance_id>.wav.
 
-    Both WAVs are read at sample_rate and cut to the shorter length. In id
-    order, each run of pairs that share a clean voice is one unit of work
-    for map_fn, which reads that clean WAV once. Ids begin with the clean
-    stem, so a voice's pairs form one run unless another stem begins with
-    its stem. map_fn may score the runs in parallel, as long as it keeps
-    their order. Returns (entry, score) pairs, the ids with no enhanced WAV,
-    and (enhanced path, reason) for each pair whose enhanced WAV cannot be
-    read or that score rejects with a SpecJointError, each in id order.
+    Both WAVs are read at sample_rate and cut to the shorter length. The
+    pairs are taken one clean voice at a time: its clean WAV is read once,
+    in this thread, and map_fn scores its pairs, so one pair stays map_fn's
+    unit of work and a split of few voices still spreads over every worker.
+    map_fn may score them in parallel, as long as it keeps their order.
+    Returns (entry, score) pairs, the ids with no enhanced WAV, and
+    (enhanced path, reason) for each pair whose enhanced WAV cannot be read
+    or that score rejects with a SpecJointError, each in id order.
     """
     enhanced_dir = Path(enhanced_dir)
     present, missing = [], []
@@ -211,12 +212,6 @@ def score_pairs(
             present.append(entry)
         else:
             missing.append(entry.utterance_id)
-    runs = [list(run) for _, run in groupby(present, key=lambda e: e.clean_path)]
-
-    def score_run(run) -> list:
-        # An unreadable clean WAV is a fault of the corpus or config: it ends the command.
-        clean = read_wav(run[0].clean_path, expected_rate=sample_rate)
-        return [score_pair(clean, entry) for entry in run]
 
     def score_pair(clean: Waveform, entry):
         try:
@@ -226,8 +221,15 @@ def score_pairs(
         except (SpecJointError, OSError) as exc:
             return exc
 
+    results = []
+    by_voice = sorted(present, key=lambda e: (e.clean_path, e.utterance_id))
+    for clean_path, voice in groupby(by_voice, key=lambda e: e.clean_path):
+        voice = list(voice)
+        # An unreadable clean WAV is a fault of the corpus or config: it ends the command.
+        clean = read_wav(clean_path, expected_rate=sample_rate)
+        results += zip(voice, map_fn(partial(score_pair, clean), voice))
     scored, failed = [], []
-    for entry, result in zip(present, chain.from_iterable(map_fn(score_run, runs))):
+    for entry, result in sorted(results, key=lambda pair: pair[0].utterance_id):
         if isinstance(result, Exception):
             failed.append((enhanced_dir / f"{entry.utterance_id}.wav", str(result)))
         else:

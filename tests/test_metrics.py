@@ -11,6 +11,7 @@ from specjoint import (
     Waveform,
     distortion_profile,
     profile_csv,
+    read_wav,
     report_csv,
     ssnr,
     stoi,
@@ -290,25 +291,53 @@ class TestEvaluateCondition:
         assert lines[-1] == f"missing,,utterance,{extra.utterance_id}"
 
 
-def test_interleaved_voices_are_scored_against_their_own_clean(tmp_path):
-    # In id order the pairs of stems "a" and "a_" interleave: a__Hum, a___Hum,
-    # a___white, a__white. Each run reads its own clean WAV.
+def write_voices(tmp_path, stems, noises):
+    """One clean WAV per stem, and an enhanced copy of it per noise at 0 dB."""
     entries = []
-    for i, stem in enumerate(["a", "a_"]):
+    for i, stem in enumerate(stems):
         voice = harmonic_voice(0.7, 16000, f0=140.0 + 60 * i, seed=i)
         write_wav(tmp_path / "clean" / f"{stem}.wav", voice)
-        for noise in ["Hum", "white"]:
+        for noise in noises:
             entry = MixSpec(tmp_path / "clean" / f"{stem}.wav", Path(f"{noise}.wav"), 0.0, 0, "test")
             write_wav(tmp_path / "enhanced" / f"{entry.utterance_id}.wav", voice)
             entries.append(entry)
+    return entries
 
-    def same_samples(clean, enhanced):
-        return bool(np.array_equal(clean.samples, enhanced.samples))
 
+def same_samples(clean, enhanced):
+    return bool(np.array_equal(clean.samples, enhanced.samples))
+
+
+def test_interleaved_voices_are_scored_against_their_own_clean(tmp_path, monkeypatch):
+    # In id order the pairs of stems "a" and "a_" interleave: a__Hum, a___Hum,
+    # a___white, a__white. Each clean WAV is still read once.
+    entries = write_voices(tmp_path, ["a", "a_"], ["Hum", "white"])
+    reads = []
+
+    def counting_read_wav(path, *args, **kwargs):
+        reads.append(Path(path))
+        return read_wav(path, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "read_wav", counting_read_wav)
     scored, missing, failed = metrics.score_pairs(entries, tmp_path / "enhanced", same_samples)
     assert [e.utterance_id for e, _ in scored] == sorted(e.utterance_id for e in entries)
     assert [e.clean_path.stem for e, _ in scored] == ["a", "a_", "a_", "a"]
     assert all(same for _, same in scored) and not missing and not failed
+    assert sorted(p.name for p in reads if p.parent.name == "clean") == ["a.wav", "a_.wav"]
+
+
+def test_each_pair_is_one_unit_of_work(tmp_path):
+    """A split of one voice still hands map_fn one item per pair, so --jobs spreads them."""
+    entries = write_voices(tmp_path, ["v0"], ["babble", "hum", "white"])
+    handed = []
+
+    def recording_map(fn, items):
+        items = list(items)
+        handed.append(len(items))
+        return map(fn, items)
+
+    scored, _, _ = metrics.score_pairs(entries, tmp_path / "enhanced", same_samples, map_fn=recording_map)
+    assert handed == [3] and len(scored) == 3
 
 
 class TestReportCsv:
