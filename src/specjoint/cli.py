@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enhance", help="enhance a WAV file or directory")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--post-process", choices=["on", "off"], dest="post_process")
     p.add_argument("checkpoint")
     p.add_argument("input")

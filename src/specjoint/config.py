@@ -1,9 +1,10 @@
 """Run configuration: a flat key=value file mirroring every tunable.
 
 Each field of RunConfig carries its file key; the field's type picks the
-parser and formatter. Parsing, validation and default dumping all read that
-one schema, so the set of recognized keys, their types and their defaults
-cannot drift apart. Unknown keys are rejected rather than ignored.
+parser and formatter, and its default is read from the type or function that
+consumes the value, so the Python API and the CLI build the same run.
+Parsing, validation and default dumping all read that one schema, so keys,
+types and defaults cannot drift apart. Unknown keys are rejected.
 """
 
 import dataclasses
@@ -11,15 +12,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import DEFAULT_NOISE_AWARE_FRAMES, DEFAULT_SNR_GRID
-from .dsp import (
-    DEFAULT_FFT_SIZE,
-    DEFAULT_FRAME_LEN,
-    DEFAULT_HOP,
-    DEFAULT_SAMPLE_RATE,
-    StftConfig,
+from .corpus import (
+    DEFAULT_NOISE_AWARE_FRAMES,
+    DEFAULT_SNR_GRID,
+    DEFAULT_TEST_FRACTION,
+    DEFAULT_VAL_FRACTION,
 )
-from .enhance import DEFAULT_EPSILON, DEFAULT_GAMMA, PostProcessConfig
+from .dsp import DEFAULT_SAMPLE_RATE, StftConfig
+from .enhance import PostProcessConfig
 from .errors import ConfigError
 from .features import (
     DEFAULT_CONTEXT,
@@ -30,7 +30,7 @@ from .features import (
     MelBank,
     mel_bank,
 )
-from .network import TrainConfig
+from .network import DEFAULT_HIDDEN_LAYERS, DEFAULT_HIDDEN_UNITS, TrainConfig
 
 
 def _key(key: str, default):
@@ -86,33 +86,33 @@ _CODECS = {
 @dataclass(frozen=True)
 class RunConfig:
     sample_rate: int = _key("sample_rate", DEFAULT_SAMPLE_RATE)
-    stft_frame_len: int = _key("stft.frame_len", DEFAULT_FRAME_LEN)
-    stft_hop: int = _key("stft.hop", DEFAULT_HOP)
-    stft_fft_size: int = _key("stft.fft_size", DEFAULT_FFT_SIZE)
-    stft_window: str = _key("stft.window", "hann")
+    stft_frame_len: int = _key("stft.frame_len", StftConfig.frame_len)
+    stft_hop: int = _key("stft.hop", StftConfig.hop)
+    stft_fft_size: int = _key("stft.fft_size", StftConfig.fft_size)
+    stft_window: str = _key("stft.window", StftConfig.window)
     mel_filters: int = _key("mel.filters", DEFAULT_N_MELS)
     mel_f_low: float = _key("mel.f_low", DEFAULT_F_LOW)
     mel_f_high: float = _key("mel.f_high", DEFAULT_F_HIGH)
-    ibm_threshold_db: float = _key("ibm.threshold_db", 0.0)
+    ibm_threshold_db: float = _key("ibm.threshold_db", IbmConfig.local_snr_threshold)
     context_tau: int = _key("context.tau", DEFAULT_CONTEXT)
     noise_aware_frames: int = _key("noise_aware.frames", DEFAULT_NOISE_AWARE_FRAMES)
     snr_grid: tuple[float, ...] = _key("snr.grid", DEFAULT_SNR_GRID)
-    val_fraction: float = _key("split.val_fraction", 0.1)
-    test_fraction: float = _key("split.test_fraction", 0.2)
+    val_fraction: float = _key("split.val_fraction", DEFAULT_VAL_FRACTION)
+    test_fraction: float = _key("split.test_fraction", DEFAULT_TEST_FRACTION)
     variant: str = _key("train.variant", "baseline")
-    epochs: int = _key("train.epochs", 30)
-    batch_size: int = _key("train.batch_size", 128)
-    learning_rate: float = _key("train.learning_rate", 0.001)
-    lr_final_fraction: float = _key("train.lr_final_fraction", 0.1)
-    momentum: float = _key("train.momentum", 0.9)
-    dropout: float = _key("train.dropout", 0.1)
-    alpha: float = _key("train.alpha", 0.1)
-    beta: float = _key("train.beta", 0.002)
-    hidden_units: int = _key("train.hidden_units", 256)
-    hidden_layers: int = _key("train.hidden_layers", 2)
-    post_gamma: float = _key("post.gamma", DEFAULT_GAMMA)
-    post_epsilon: float = _key("post.epsilon", DEFAULT_EPSILON)
-    post_enabled: bool = _key("post.enabled", True)
+    epochs: int = _key("train.epochs", TrainConfig.epochs)
+    batch_size: int = _key("train.batch_size", TrainConfig.batch_size)
+    learning_rate: float = _key("train.learning_rate", TrainConfig.learning_rate)
+    lr_final_fraction: float = _key("train.lr_final_fraction", TrainConfig.lr_final_fraction)
+    momentum: float = _key("train.momentum", TrainConfig.momentum)
+    dropout: float = _key("train.dropout", TrainConfig.dropout)
+    alpha: float = _key("train.alpha", TrainConfig.alpha)
+    beta: float = _key("train.beta", TrainConfig.beta)
+    hidden_units: int = _key("train.hidden_units", DEFAULT_HIDDEN_UNITS)
+    hidden_layers: int = _key("train.hidden_layers", DEFAULT_HIDDEN_LAYERS)
+    post_gamma: float = _key("post.gamma", PostProcessConfig.gamma)
+    post_epsilon: float = _key("post.epsilon", PostProcessConfig.epsilon)
+    post_enabled: bool = _key("post.enabled", PostProcessConfig.enabled)
     seed: int = _key("seed", 0)
 
     def __post_init__(self):

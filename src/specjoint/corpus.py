@@ -8,6 +8,7 @@ features, and the mixed noisy waveforms.
 
 import contextlib
 import enum
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .dsp import Spectrogram, StftConfig, Waveform, stft
+from .dsp import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, stft
 from .errors import ConfigError, FormatError, ScalingError
 from .features import (
     DEFAULT_CONTEXT,
@@ -32,6 +33,8 @@ from .wavio import read_wav, write_wav
 
 DEFAULT_SNR_GRID = (20.0, 15.0, 10.0, 5.0, 0.0, -5.0)
 DEFAULT_NOISE_AWARE_FRAMES = 6
+DEFAULT_VAL_FRACTION = 0.1
+DEFAULT_TEST_FRACTION = 0.2
 
 VARIANCE_FLOOR = 1e-8
 
@@ -323,23 +326,37 @@ def build_corpus(
     bank: MelBank,
     ibm_config: IbmConfig,
     snr_grid: tuple[float, ...] = DEFAULT_SNR_GRID,
-    val_fraction: float = 0.1,
-    test_fraction: float = 0.2,
+    val_fraction: float = DEFAULT_VAL_FRACTION,
+    test_fraction: float = DEFAULT_TEST_FRACTION,
     seed: int = 0,
-    sample_rate: int = 16000,
+    sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> list[MixSpec]:
     """Mix every clean x noise x SNR combination and write the corpus directory.
 
     Writes the manifest, per-utterance feature containers, noisy waveforms,
     and normalization statistics fitted on the noisy train-split features
-    only. Deterministic for a fixed seed. A call that fails part-way removes
-    the files it wrote and the directories it created, and leaves whatever
-    was in the output directory before.
+    only. Deterministic for a fixed seed. Two mixtures that would share an
+    utterance id are a ConfigError before anything is written. A call that
+    fails part-way removes the files and directories it made, and leaves
+    whatever was in the output directory before.
     """
     if not clean_paths:
         raise ConfigError("no clean utterances given")
     if not noise_paths:
         raise ConfigError("no noise files given")
+    splits = assign_splits(clean_paths, val_fraction, test_fraction, seed)
+    noises = {path: read_wav(path, expected_rate=sample_rate) for path in sorted(noise_paths)}
+    # Offsets are drawn in a fixed (sorted) order so the manifest is
+    # byte-identical across runs with the same seed.
+    rng = np.random.default_rng(seed + 1)
+    entries: dict[str, MixSpec] = {}  # by utterance id, in manifest order
+    for clean_path in sorted(clean_paths):
+        for noise_path, noise in noises.items():
+            for snr_db in snr_grid:
+                offset = int(rng.integers(0, len(noise)))
+                entry = MixSpec(clean_path, noise_path, float(snr_db), offset, splits[clean_path])
+                if entries.setdefault(entry.utterance_id, entry) is not entry:
+                    raise ConfigError(f"two mixtures would share the utterance id {entry.utterance_id!r}")
     out_dir = Path(out_dir)
     features_dir = out_dir / FEATURES_DIR
     noisy_dir = out_dir / NOISY_DIR
@@ -353,44 +370,34 @@ def build_corpus(
         sub.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []  # listed before each write, so a partial file goes too
     try:
-        splits = assign_splits(clean_paths, val_fraction, test_fraction, seed)
-        rng = np.random.default_rng(seed + 1)
-        noises = {path: read_wav(path, expected_rate=sample_rate) for path in sorted(noise_paths)}
-        entries = []
         sums = {kind: _StreamingStats() for kind in _STATS_FILES}
-        # Offsets are drawn in a fixed (sorted) order so the manifest is
-        # byte-identical across runs with the same seed.
-        for clean_path in sorted(clean_paths):
+        for clean_path, mixtures in itertools.groupby(entries.values(), key=lambda e: e.clean_path):
             clean = read_wav(clean_path, expected_rate=sample_rate)
-            for noise_path, noise in noises.items():
-                for snr_db in snr_grid:
-                    offset = int(rng.integers(0, len(noise)))
-                    split = splits[clean_path]
-                    entry = MixSpec(clean_path, noise_path, float(snr_db), offset, split)
-                    entries.append(entry)
-                    try:
-                        noisy, features = extract_mixture_features(
-                            clean, noise, entry.snr_db, offset, stft_config, bank, ibm_config
-                        )
-                    except ScalingError as exc:
-                        raise ScalingError(
-                            f"{clean_path} with {noise_path} at offset {offset}: {exc}"
-                        ) from exc
-                    uid = entry.utterance_id
-                    for name in _FEATURE_FILES.values():
-                        written.append(feature_path(features_dir, uid, name))
-                        container.write_features(written[-1], features[name])
-                    written.append(noisy_dir / f"{uid}.wav")
-                    write_wav(written[-1], noisy)
-                    if entry.split == "train":
-                        for kind, total in sums.items():
-                            total.add(features[_FEATURE_FILES["input", kind]].data)
+            for entry in mixtures:
+                try:
+                    noisy, features = extract_mixture_features(
+                        clean, noises[entry.noise_path], entry.snr_db, entry.noise_offset,
+                        stft_config, bank, ibm_config,
+                    )
+                except ScalingError as exc:
+                    raise ScalingError(
+                        f"{clean_path} with {entry.noise_path} at offset {entry.noise_offset}: {exc}"
+                    ) from exc
+                uid = entry.utterance_id
+                for name in _FEATURE_FILES.values():
+                    written.append(feature_path(features_dir, uid, name))
+                    container.write_features(written[-1], features[name])
+                written.append(noisy_dir / f"{uid}.wav")
+                write_wav(written[-1], noisy)
+                if entry.split == "train":
+                    for kind, total in sums.items():
+                        total.add(features[_FEATURE_FILES["input", kind]].data)
 
         for kind, name in _STATS_FILES.items():
             written.append(stats_dir / name)
             write_norm_stats(written[-1], sums[kind].finish(), kind)
         written.append(out_dir / MANIFEST_NAME)
-        write_manifest(written[-1], entries)
+        write_manifest(written[-1], entries.values())
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -398,7 +405,7 @@ def build_corpus(
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise
-    return entries
+    return list(entries.values())
 
 
 def read_corpus_stats(corpus_dir: str | Path) -> dict[FeatureKind, NormStats]:

@@ -11,9 +11,6 @@ import numpy as np
 from .errors import ConfigError, ShortSignalError
 
 DEFAULT_SAMPLE_RATE = 16000
-DEFAULT_FRAME_LEN = 512   # 32 ms at 16 kHz
-DEFAULT_HOP = 256         # 50% overlap
-DEFAULT_FFT_SIZE = 512    # 257 one-sided bins
 
 WINDOW_NAMES = ("hann", "hamming", "rect")
 
@@ -62,10 +59,10 @@ def window(name: str, length: int) -> np.ndarray:
 class StftConfig:
     """Framing parameters; fft_size/2+1 is the one-sided bin count."""
 
-    frame_len: int = DEFAULT_FRAME_LEN
-    hop: int = DEFAULT_HOP
+    frame_len: int = 512  # 32 ms at 16 kHz
+    hop: int = 256  # 50% overlap
     window: str = "hann"
-    fft_size: int = DEFAULT_FFT_SIZE
+    fft_size: int = 512  # 257 one-sided bins
 
     def __post_init__(self):
         if not (0 < self.hop <= self.frame_len <= self.fft_size):
@@ -149,13 +146,12 @@ def overlap_add(rows: np.ndarray, hop: int) -> np.ndarray:
     return out.reshape(-1)[: (n - 1) * hop + frame_len]
 
 
-def stft(waveform: Waveform, config: StftConfig | None = None) -> Spectrogram:
+def stft(waveform: Waveform, config: StftConfig = StftConfig()) -> Spectrogram:
     """Short-time Fourier transform, one-sided bins.
 
     Frames start at sample 0 with no padding; a trailing partial frame is
     dropped so golden outputs stay stable.
     """
-    config = config or StftConfig()
     x = waveform.samples
     if len(x) < config.frame_len:
         raise ShortSignalError(

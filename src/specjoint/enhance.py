@@ -28,9 +28,6 @@ from .errors import ConfigError, SpecJointError
 from .features import FeatureKind, FeatureMatrix, MelBank, lps, mfcc
 from .network import Model, predict
 
-DEFAULT_GAMMA = 0.9
-DEFAULT_EPSILON = 0.6
-
 # Estimated masks come from a linear head, so values may overshoot 1 a bit.
 _GAMMA_MAX = 1.1
 
@@ -39,8 +36,8 @@ _GAMMA_MAX = 1.1
 class PostProcessConfig:
     """Thresholds for the three-way mask gate on enhanced spectra."""
 
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = DEFAULT_EPSILON
+    gamma: float = 0.9
+    epsilon: float = 0.6
     enabled: bool = True
 
     def __post_init__(self):

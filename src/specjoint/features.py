@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, dct_matrix
+from .dsp import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, dct_matrix
 from .errors import ConfigError
 
 # Floor applied to every power before a log; keeps features finite.
@@ -80,8 +80,8 @@ class MelBank:
 
 def mel_bank(
     n_mels: int = DEFAULT_N_MELS,
-    fft_size: int = 512,
-    sample_rate: int = 16000,
+    fft_size: int = StftConfig.fft_size,
+    sample_rate: int = DEFAULT_SAMPLE_RATE,
     f_low: float = DEFAULT_F_LOW,
     f_high: float = DEFAULT_F_HIGH,
 ) -> MelBank:
@@ -137,13 +137,12 @@ def mfcc(spec: Spectrogram, bank: MelBank) -> FeatureMatrix:
     return FeatureMatrix(np.column_stack([coeffs, energy]), FeatureKind.MFCC)
 
 
-def compute_ibm(clean: Spectrogram, noise: Spectrogram, cfg: IbmConfig | None = None) -> FeatureMatrix:
+def compute_ibm(clean: Spectrogram, noise: Spectrogram, cfg: IbmConfig = IbmConfig()) -> FeatureMatrix:
     """Ideal binary mask: 1 where the local SNR strictly exceeds the threshold.
 
     Needs the clean and noise spectrograms of the exact mixture components
     (same shape and offsets); noise power is floored to avoid division by zero.
     """
-    cfg = cfg or IbmConfig()
     if clean.frames.shape != noise.frames.shape:
         raise ValueError(f"shape mismatch: {clean.frames.shape} vs {noise.frames.shape}")
     clean_power = np.abs(clean.frames) ** 2

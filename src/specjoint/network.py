@@ -34,8 +34,8 @@ LOSS_NORM_FLOOR = 1e-8
 HEAD_LOSS_NAMES = {kind: kind.name.lower() for kind in FeatureKind}
 LOSS_NAMES = ("total", *HEAD_LOSS_NAMES.values())
 
-DEFAULT_HIDDEN_UNITS = 2500
-DEFAULT_HIDDEN_LAYERS = 3
+DEFAULT_HIDDEN_UNITS = 256
+DEFAULT_HIDDEN_LAYERS = 2
 
 _VARIANT_CODES = {v: i for i, v in enumerate(Variant)}
 _CODE_VARIANTS = {i: v for v, i in _VARIANT_CODES.items()}
@@ -83,7 +83,7 @@ class Model:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 10
+    epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 0.001
     lr_final_fraction: float = 0.1

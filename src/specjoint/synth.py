@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import DEFAULT_SAMPLE_RATE, Waveform
 from .wavio import write_wav
 
 _VOICE_PEAK = 0.3
@@ -18,7 +18,7 @@ _FORMANTS_HZ = ((500.0, 180.0), (1500.0, 250.0), (2500.0, 300.0))
 
 
 def harmonic_voice(
-    duration: float, sample_rate: int = 16000, f0: float = 160.0, seed: int = 0
+    duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE, f0: float = 160.0, seed: int = 0
 ) -> Waveform:
     """Voiced-speech stand-in: drifting-pitch harmonics under formant peaks.
 
@@ -50,13 +50,13 @@ def harmonic_voice(
     return Waveform(x, sample_rate)
 
 
-def white_noise(duration: float, sample_rate: int = 16000, seed: int = 0) -> Waveform:
+def white_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE, seed: int = 0) -> Waveform:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(int(round(duration * sample_rate)))
     return Waveform(x * (_NOISE_PEAK / np.max(np.abs(x))), sample_rate)
 
 
-def pink_noise(duration: float, sample_rate: int = 16000, seed: int = 0) -> Waveform:
+def pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE, seed: int = 0) -> Waveform:
     """Gaussian noise re-shaped to a 1/f power spectrum in the FFT domain."""
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
@@ -68,7 +68,7 @@ def pink_noise(duration: float, sample_rate: int = 16000, seed: int = 0) -> Wave
     return Waveform(x * (_NOISE_PEAK / np.max(np.abs(x))), sample_rate)
 
 
-def tonal_hum(duration: float, sample_rate: int = 16000, seed: int = 0) -> Waveform:
+def tonal_hum(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE, seed: int = 0) -> Waveform:
     """Mains-style hum: odd harmonics of 50 Hz over a weak broadband floor."""
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
@@ -91,7 +91,7 @@ def write_demo_corpus(
     voice_duration: float = 0.8,
     noise_duration: float = 3.0,
     noise_kinds: tuple[str, ...] = ("white", "pink", "hum"),
-    sample_rate: int = 16000,
+    sample_rate: int = DEFAULT_SAMPLE_RATE,
     seed: int = 0,
 ) -> tuple[list[Path], list[Path]]:
     """Write a small clean/noise WAV tree; returns the two path lists."""

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import logging
 import os
 import shutil
@@ -22,10 +23,13 @@ from specjoint import (
     HeadSpec,
     IbmConfig,
     MixSpec,
+    PostProcessConfig,
     RunConfig,
     StftConfig,
+    TrainConfig,
     Variant,
     Waveform,
+    build_corpus,
     init_model,
     input_dim,
     load_model,
@@ -40,7 +44,7 @@ from specjoint import (
     write_wav,
 )
 from specjoint import corpus as corpus_mod
-from specjoint.cli import _history_csv, main
+from specjoint.cli import _history_csv, build_parser, main
 from specjoint.dsp import WINDOW_NAMES
 from specjoint.synth import harmonic_voice, white_noise
 
@@ -161,6 +165,23 @@ class TestRunConfig:
         assert config.bank().filters.shape == (40, 257)
         assert config.train_config().epochs == 30
         assert config.post_config().gamma == 0.9
+
+    def test_defaults_are_the_library_defaults(self):
+        # The Python API and the command line build the same run by default.
+        config = RunConfig()
+        assert config.train_config() == TrainConfig()
+        assert config.stft_config() == StftConfig()
+        assert config.post_config() == PostProcessConfig()
+        assert config.ibm_config() == IbmConfig()
+        assert np.array_equal(config.bank().filters, mel_bank().filters)
+        init = inspect.signature(init_model).parameters
+        assert init["hidden_units"].default == config.hidden_units
+        assert init["hidden_layers"].default == config.hidden_layers
+        corpus = inspect.signature(build_corpus).parameters
+        assert corpus["val_fraction"].default == config.val_fraction
+        assert corpus["test_fraction"].default == config.test_fraction
+        assert corpus["snr_grid"].default == config.snr_grid
+        assert corpus["sample_rate"].default == config.sample_rate
 
     def test_replace(self):
         assert RunConfig().replace(seed=9).seed == 9
@@ -354,6 +375,31 @@ class TestPrepare:
         ])
         assert code == 0
         assert "seed = 11\n" in (out / "effective-config.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "clean_stems, noise_stems, grid, clash",
+        [
+            (["v"], ["white"], "5,5", "v__white__snr5dB"),
+            (["a", "a__b"], ["c", "b__c"], "5", "a__b__c__snr5dB"),
+        ],
+        ids=["repeated-snr", "stems-meet"],
+    )
+    def test_shared_utterance_id_fails_in_one_line(
+        self, tmp_path, clean_stems, noise_stems, grid, clash
+    ):
+        # Two mixtures named alike would write one set of files and count
+        # both in the statistics.
+        clean_dir, noise_dir, out = tmp_path / "clean", tmp_path / "noise", tmp_path / "out"
+        for i, stem in enumerate(clean_stems):
+            write_wav(clean_dir / f"{stem}.wav", harmonic_voice(0.6, 16000, seed=i))
+        for i, stem in enumerate(noise_stems):
+            write_wav(noise_dir / f"{stem}.wav", white_noise(1.0, 16000, seed=10 + i))
+        (tmp_path / "run.cfg").write_text(f"snr.grid = {grid}\n")
+        result = run_child(
+            "prepare", "--config", str(tmp_path / "run.cfg"), str(clean_dir), str(noise_dir), str(out)
+        )
+        assert_one_line_error(result, repr(clash))
+        assert not out.exists()
 
     def test_out_dir_that_is_a_file_fails_in_one_line(self, env, tmp_path):
         out = tmp_path / "corpus"
@@ -1081,6 +1127,16 @@ class TestMisc:
             main([command, "--help"])
         assert exc.value.code == 0
         assert command in capsys.readouterr().out
+
+    def test_seed_flag_only_where_it_has_an_effect(self, capsys):
+        # enhance draws no random number, so it refuses --seed.
+        with pytest.raises(SystemExit) as exc:
+            main(["enhance", "--seed", "1", "m.sjnn", "noisy.wav", "out"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        parser = build_parser()
+        assert parser.parse_args(["prepare", "--seed", "1", "clean", "noise", "out"]).seed == 1
+        assert parser.parse_args(["train", "--seed", "1", "corpus", "m.sjnn"]).seed == 1
 
     def test_console_script(self, tmp_path):
         # Run the entry point that pyproject.toml declares the way an installed

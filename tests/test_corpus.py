@@ -619,6 +619,32 @@ class TestBuildCorpus:
         assert sorted(out_dir.rglob("*")) == before
         assert (out_dir / "noisy" / "old.wav").read_bytes() == b"kept"
 
+    @pytest.mark.parametrize(
+        "clean_stems, noise_stems, grid, clash",
+        [
+            (["v"], ["white"], (5.0, 5.0), "v__white__snr5dB"),
+            (["v"], ["white"], (0.1234567, 0.12345678), "v__white__snr0.123457dB"),
+            (["a", "a__b"], ["c", "b__c"], (5.0,), "a__b__c__snr5dB"),
+        ],
+        ids=["repeated-snr", "snrs-print-alike", "stems-meet"],
+    )
+    def test_shared_utterance_id_rejected_before_writing(
+        self, tmp_path, clean_stems, noise_stems, grid, clash
+    ):
+        clean_paths, noise_paths = [], []
+        for i, stem in enumerate(clean_stems):
+            clean_paths.append(tmp_path / "clean" / f"{stem}.wav")
+            write_wav(clean_paths[-1], harmonic_voice(0.3, 16000, seed=i))
+        for i, stem in enumerate(noise_stems):
+            noise_paths.append(tmp_path / "noise" / f"{stem}.wav")
+            write_wav(noise_paths[-1], white_noise(0.5, 16000, seed=10 + i))
+        out_dir = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape(f"utterance id {clash!r}")):
+            build_corpus(
+                clean_paths, noise_paths, out_dir, StftConfig(), mel_bank(), IbmConfig(), snr_grid=grid
+            )
+        assert not out_dir.exists()
+
     def test_empty_inputs_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no clean utterances"):
             build_corpus([], [Path("n.wav")], tmp_path, StftConfig(), mel_bank(), IbmConfig())

@@ -549,6 +549,24 @@ class TestCheckpoint:
         save_model(tmp_path / "b.sjnn", model)
         assert (tmp_path / "a.sjnn").read_bytes() == (tmp_path / "b.sjnn").read_bytes()
 
+    @pytest.mark.parametrize(
+        "variant, code",
+        [
+            (Variant.BASELINE, 0),
+            (Variant.MFCC_OUT, 1),
+            (Variant.MFCC, 2),
+            (Variant.IBM, 3),
+            (Variant.MFCC_IBM, 4),
+        ],
+    )
+    def test_variant_code_is_pinned(self, tmp_path, variant, code):
+        # Saved models name their variant by this byte, so reordering
+        # Variant must not remap them.
+        path = tmp_path / "model.sjnn"
+        save_model(path, tiny_model(variant, hidden_layers=1))
+        assert path.read_bytes()[8] == code
+        assert load_model(path).variant == variant
+
     def saved(self, tmp_path):
         path = tmp_path / "model.sjnn"
         save_model(path, tiny_model(seed=0, hidden_layers=1))
