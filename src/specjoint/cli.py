@@ -72,7 +72,10 @@ def _check_dims(config: RunConfig, stats, with_mfcc: bool, source: str) -> None:
 
 
 def _wav_list(directory: Path) -> list[Path]:
-    return sorted(directory.glob("*.wav"))
+    paths = sorted(directory.glob("*.wav"))
+    if not paths:
+        raise SpecJointError(f"no WAV files in {directory}")
+    return paths
 
 
 @contextlib.contextmanager
@@ -90,12 +93,6 @@ def cmd_prepare(args) -> int:
     config = _load_config(args)
     clean_dir, noise_dir, out_dir = Path(args.clean_dir), Path(args.noise_dir), Path(args.out_dir)
     clean_paths, noise_paths = _wav_list(clean_dir), _wav_list(noise_dir)
-    if not clean_paths:
-        log.error("no WAV files in %s", clean_dir)
-        return 1
-    if not noise_paths:
-        log.error("no WAV files in %s", noise_dir)
-        return 1
     # Every source must carry signal to be mixed at an SNR, and a clean voice
     # must give the noise-aware estimate its frames at train time.
     needed = min_samples(config.noise_aware_frames, config.stft_config())
@@ -156,14 +153,14 @@ def cmd_train(args) -> int:
     if checkpoint_path.is_dir():
         raise ConfigError(f"checkpoint {checkpoint_path} is a directory")
     variant = Variant.parse(config.variant)
-    entries = read_manifest(corpus_dir / corpus_mod.MANIFEST_NAME)
+    manifest = corpus_dir / corpus_mod.MANIFEST_NAME
+    entries = read_manifest(manifest)
     stats = read_corpus_stats(corpus_dir)
     _check_dims(config, stats, FeatureKind.MFCC in variant.head_kinds, f"the corpus in {corpus_dir}")
     train_entries = [e for e in entries if e.split == "train"]
     val_entries = [e for e in entries if e.split == "val"]
     if not train_entries:
-        log.error("manifest has no train-split entries")
-        return 1
+        raise SpecJointError(f"manifest {manifest} has no train-split entries")
     # Check every train.* value before any row is read.
     train_config = config.train_config()
     model = init_model(
@@ -197,7 +194,7 @@ def cmd_train(args) -> int:
         history = train(model, train_data, train_config, val_data, log=log.info)
     except TrainingDivergedError as exc:
         history = exc.history
-        log.error("%s; keeping last finite parameters", exc)
+        log.error("error: %s; keeping last finite parameters", exc)
         exit_code = 1
     save_model(checkpoint_path, model)
     checkpoint_path.with_suffix(".history.csv").write_text(_history_csv(history), encoding="utf-8")
@@ -211,16 +208,14 @@ def cmd_enhance(args) -> int:
     model = load_model(args.checkpoint)
     in_path, out_dir = Path(args.input), Path(args.out_dir)
     wav_paths = _wav_list(in_path) if in_path.is_dir() else [in_path]
-    if not wav_paths:
-        log.error("no WAV files in %s", in_path)
-        return 1
     if out_dir.resolve() == (in_path if in_path.is_dir() else in_path.parent).resolve():
         raise ConfigError(f"output directory {out_dir} holds the input; enhancing would overwrite it")
     post = config.post_config()
-    bank = config.bank() if model.variant.mfcc_in_input else None
+    mfcc_input = FeatureKind.MFCC in model.variant.input_kinds
+    bank = config.bank() if mfcc_input else None
     # Fail the configuration checks before touching any files.
     check_post_process(model, post)
-    _check_dims(config, model.stats, model.variant.mfcc_in_input, f"checkpoint {args.checkpoint}")
+    _check_dims(config, model.stats, mfcc_input, f"checkpoint {args.checkpoint}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def process(path: Path) -> str | None:

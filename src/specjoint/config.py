@@ -17,6 +17,7 @@ from .corpus import (
     DEFAULT_SNR_GRID,
     DEFAULT_TEST_FRACTION,
     DEFAULT_VAL_FRACTION,
+    format_float,
 )
 from .dsp import DEFAULT_SAMPLE_RATE, StftConfig
 from .enhance import PostProcessConfig
@@ -63,20 +64,14 @@ def _format_bool(value: bool) -> str:
     return "on" if value else "off"
 
 
-def _format_float(value: float) -> str:
-    """Short form when it reads back as the same float, else the exact repr."""
-    short = f"{value:g}"
-    return short if float(short) == value else repr(value)
-
-
 def _format_floats(value: tuple[float, ...]) -> str:
-    return ",".join(_format_float(v) for v in value)
+    return ",".join(format_float(v) for v in value)
 
 
 # field type -> (parser, formatter)
 _CODECS = {
     int: (int, str),
-    float: (_parse_float, _format_float),
+    float: (_parse_float, format_float),
     str: (str, str),
     bool: (_parse_bool, _format_bool),
     tuple[float, ...]: (_parse_floats, _format_floats),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .dsp import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, stft
+from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, Waveform, stft
 from .errors import ConfigError, FormatError, ScalingError
 from .features import (
     DEFAULT_CONTEXT,
@@ -77,12 +77,10 @@ class Variant(enum.Enum):
         raise ConfigError(f"unknown variant {name!r}; expected one of {[v.value for v in cls]}")
 
     @property
-    def mfcc_in_input(self) -> bool:
-        return self in (Variant.MFCC, Variant.MFCC_IBM)
-
-    @property
     def input_kinds(self) -> tuple[FeatureKind, ...]:
-        return (FeatureKind.LPS, FeatureKind.MFCC) if self.mfcc_in_input else (FeatureKind.LPS,)
+        if self in (Variant.MFCC, Variant.MFCC_IBM):
+            return (FeatureKind.LPS, FeatureKind.MFCC)
+        return (FeatureKind.LPS,)
 
     @property
     def head_kinds(self) -> tuple[FeatureKind, ...]:
@@ -138,7 +136,7 @@ class NormStats:
 
 
 def mix_at_snr(
-    clean: Waveform, noise: Waveform, snr_db: float, noise_offset: int = 0
+    clean: Waveform, noise: Waveform, snr_db: float, noise_offset: int
 ) -> tuple[Waveform, Waveform]:
     """Scale noise to hit the requested SNR and add it to the clean signal.
 
@@ -170,7 +168,7 @@ def mix_at_snr(
     )
 
 
-def estimate_noise_aware_vector(data: np.ndarray, k: int = DEFAULT_NOISE_AWARE_FRAMES) -> np.ndarray:
+def estimate_noise_aware_vector(data: np.ndarray, k: int) -> np.ndarray:
     """Static noise estimate: per-dimension mean of the first k frames."""
     if not 1 <= k <= data.shape[0]:
         raise ValueError(f"need 1 <= k <= n_frames={data.shape[0]}, got k={k}")
@@ -178,7 +176,8 @@ def estimate_noise_aware_vector(data: np.ndarray, k: int = DEFAULT_NOISE_AWARE_F
 
 
 class _StreamingStats:
-    """Sum-based global mean/variance accumulator over blocks of frames."""
+    """Sum-based global mean and population variance, floored at 1e-8, over
+    blocks of frames; the result does not depend on how they are split."""
 
     def __init__(self):
         self.count = 0
@@ -199,19 +198,6 @@ class _StreamingStats:
         mean = self.total / self.count
         variance = np.maximum(self.total_sq / self.count - mean**2, VARIANCE_FLOOR)
         return NormStats(mean, variance)
-
-
-def fit_norm_stats(features: Iterable[np.ndarray]) -> NormStats:
-    """Single-pass global mean/variance over all frames of all utterances.
-
-    Uses the population (biased) variance convention, floored at 1e-8. The
-    accumulation is sum-based, so the result does not depend on how the
-    frames are chunked into utterances.
-    """
-    acc = _StreamingStats()
-    for item in features:
-        acc.add(np.asarray(item, dtype=np.float64))
-    return acc.finish()
 
 
 def normalize(data: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -243,9 +229,15 @@ def read_norm_stats(path: str | Path) -> NormStats:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def format_float(value: float) -> str:
+    """Short form when it reads back as the same float, else the exact repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def write_manifest(path: str | Path, entries: Iterable[MixSpec]) -> None:
     lines = [
-        f"{e.clean_path}\t{e.noise_path}\t{e.snr_db:g}\t{e.noise_offset}\t{e.split}"
+        f"{e.clean_path}\t{e.noise_path}\t{format_float(e.snr_db)}\t{e.noise_offset}\t{e.split}"
         for e in entries
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -337,8 +329,9 @@ def build_corpus(
     and normalization statistics fitted on the noisy train-split features
     only. Deterministic for a fixed seed. Two mixtures that would share an
     utterance id are a ConfigError before anything is written. A call that
-    fails part-way removes the files and directories it made, and leaves
-    whatever was in the output directory before.
+    fails part-way removes the directories it made and every file it began
+    to write, same-named files of an earlier corpus included. Other files
+    stay, among them an earlier manifest unless writing the new one failed.
     """
     if not clean_paths:
         raise ConfigError("no clean utterances given")
@@ -465,9 +458,9 @@ class TrainingData:
     frames: np.ndarray
     windows: np.ndarray
     targets_lps: np.ndarray
-    targets_mfcc: np.ndarray | None = None
-    targets_ibm: np.ndarray | None = None
-    variant: Variant | None = None
+    targets_mfcc: np.ndarray | None
+    targets_ibm: np.ndarray | None
+    variant: Variant | None
 
     @property
     def n_rows(self) -> int:

@@ -4,7 +4,7 @@ All operations are pure functions on immutable inputs and are safe to call
 from multiple threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class Waveform:
 
     def __len__(self):
         return self.samples.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
 
 
 def window(name: str, length: int) -> np.ndarray:
@@ -88,8 +84,8 @@ class Spectrogram:
     """Complex one-sided STFT frames, one row per frame."""
 
     frames: np.ndarray
-    config: StftConfig = field(default_factory=StftConfig)
-    sample_rate: int = DEFAULT_SAMPLE_RATE
+    config: StftConfig
+    sample_rate: int
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
@@ -106,13 +102,6 @@ class Spectrogram:
     @property
     def n_bins(self) -> int:
         return self.frames.shape[1]
-
-
-def frame_count(n_samples: int, config: StftConfig) -> int:
-    """Frames produced by stft(); the trailing partial frame is dropped."""
-    if n_samples < config.frame_len:
-        return 0
-    return 1 + (n_samples - config.frame_len) // config.hop
 
 
 def min_samples(n_frames: int, config: StftConfig) -> int:
@@ -146,7 +135,7 @@ def overlap_add(rows: np.ndarray, hop: int) -> np.ndarray:
     return out.reshape(-1)[: (n - 1) * hop + frame_len]
 
 
-def stft(waveform: Waveform, config: StftConfig = StftConfig()) -> Spectrogram:
+def stft(waveform: Waveform, config: StftConfig) -> Spectrogram:
     """Short-time Fourier transform, one-sided bins.
 
     Frames start at sample 0 with no padding; a trailing partial frame is

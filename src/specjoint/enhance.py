@@ -76,7 +76,7 @@ def enhance_features(
     spec = stft(noisy, stft_config)
     noisy_lps = lps(spec)
     noisy_mfcc = None
-    if model.variant.mfcc_in_input:
+    if FeatureKind.MFCC in model.variant.input_kinds:
         if bank is None:
             raise ConfigError(f"variant {model.variant.value!r} needs a mel filter bank")
         noisy_mfcc = mfcc(spec, bank).data
@@ -173,15 +173,15 @@ def enhance_waveform(
     noisy: Waveform,
     stft_config: StftConfig,
     bank: MelBank | None = None,
-    post: PostProcessConfig | None = None,
+    post: PostProcessConfig = PostProcessConfig(),
 ) -> EnhanceResult:
     """Full enhancement of one utterance.
 
+    The gate is on by default, as in PostProcessConfig() and the command
+    line, so the model must have a mask head unless `post` turns it off.
     With the gate disabled the output is built directly from the network
-    estimate, bit-exact with a mask-free model of identical weights. With it
-    enabled the model must have a mask head.
+    estimate, bit-exact with a mask-free model of identical weights.
     """
-    post = post or PostProcessConfig(enabled=False)
     check_post_process(model, post)
     estimated, mask, spec, noisy_lps = enhance_features(model, noisy, stft_config, bank)
     final = estimated.data

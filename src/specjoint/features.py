@@ -73,9 +73,6 @@ class MelBank:
     """Triangular mel filters evaluated at the one-sided FFT bin frequencies."""
 
     filters: np.ndarray
-    n_mels: int
-    f_low: float
-    f_high: float
 
 
 def mel_bank(
@@ -106,7 +103,7 @@ def mel_bank(
                 f"mel filter {i} has no positive entry; too many filters for "
                 f"fft_size={fft_size} at {sample_rate} Hz"
             )
-    return MelBank(filters, n_mels, f_low, f_high)
+    return MelBank(filters)
 
 
 def lps(spec: Spectrogram) -> FeatureMatrix:
@@ -129,7 +126,7 @@ def mfcc(spec: Spectrogram, bank: MelBank) -> FeatureMatrix:
     power = np.abs(spec.frames) ** 2
     mel_power = power @ bank.filters.T
     log_mel = np.log(np.maximum(mel_power, POWER_FLOOR))
-    coeffs = log_mel @ dct_matrix(bank.n_mels).T
+    coeffs = log_mel @ dct_matrix(bank.filters.shape[0]).T
     # One-sided Parseval: interior bins count twice, DC and Nyquist once.
     fft_size = spec.config.fft_size
     frame_power = (2.0 * power.sum(axis=1) - power[:, 0] - power[:, -1]) / fft_size
@@ -137,7 +134,7 @@ def mfcc(spec: Spectrogram, bank: MelBank) -> FeatureMatrix:
     return FeatureMatrix(np.column_stack([coeffs, energy]), FeatureKind.MFCC)
 
 
-def compute_ibm(clean: Spectrogram, noise: Spectrogram, cfg: IbmConfig = IbmConfig()) -> FeatureMatrix:
+def compute_ibm(clean: Spectrogram, noise: Spectrogram, cfg: IbmConfig) -> FeatureMatrix:
     """Ideal binary mask: 1 where the local SNR strictly exceeds the threshold.
 
     Needs the clean and noise spectrograms of the exact mixture components

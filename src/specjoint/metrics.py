@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import resample_poly
 
-from .dsp import DEFAULT_SAMPLE_RATE, Waveform, frame_signal, overlap_add
+from .dsp import Waveform, frame_signal, overlap_add
 from .errors import MetricError, SpecJointError
 from .wavio import read_wav
 
@@ -48,25 +48,20 @@ def _aligned(reference: Waveform, test: Waveform) -> tuple[np.ndarray, np.ndarra
     return reference.samples[:n], test.samples[:n]
 
 
-def ssnr(
-    reference: Waveform,
-    test: Waveform,
-    frame_len: int = SSNR_FRAME_LEN,
-    hop: int = SSNR_HOP,
-) -> float:
+def ssnr(reference: Waveform, test: Waveform) -> float:
     """Mean per-frame SNR in dB, clamped to [-10, 35], over active frames.
 
     A frame is active when its mean power exceeds 1e-8 times the utterance
     mean power of the reference. Zero error clamps at the ceiling.
     """
     ref, tst = _aligned(reference, test)
-    ref_frames = frame_signal(ref, frame_len, hop)
-    tst_frames = frame_signal(tst, frame_len, hop)
+    ref_frames = frame_signal(ref, SSNR_FRAME_LEN, SSNR_HOP)
+    tst_frames = frame_signal(tst, SSNR_FRAME_LEN, SSNR_HOP)
     if ref_frames.shape[0] == 0:
-        raise MetricError(f"signal shorter than one frame ({frame_len} samples)")
+        raise MetricError(f"signal shorter than one frame ({SSNR_FRAME_LEN} samples)")
     ref_power = np.sum(ref_frames**2, axis=1)
     err_power = np.sum((ref_frames - tst_frames) ** 2, axis=1)
-    active = ref_power > SSNR_SILENCE_FLOOR * np.mean(ref**2) * frame_len
+    active = ref_power > SSNR_SILENCE_FLOOR * np.mean(ref**2) * SSNR_FRAME_LEN
     if not np.any(active):
         raise MetricError("reference has no speech-active frames")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -192,7 +187,7 @@ def profile_csv(scored, sample_rate: int, fft_size: int) -> str:
 
 
 def score_pairs(
-    entries, enhanced_dir: str | Path, score, sample_rate: int = DEFAULT_SAMPLE_RATE, map_fn=map
+    entries, enhanced_dir: str | Path, score, sample_rate: int, map_fn
 ) -> tuple[list[tuple], list[str], list[tuple[Path, str]]]:
     """Apply score(clean, enhanced) to each entry's enhanced <utterance_id>.wav.
 

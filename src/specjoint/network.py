@@ -66,20 +66,6 @@ class Model:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    @property
-    def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def head(self, kind: FeatureKind) -> HeadSpec:
-        for spec in self.heads:
-            if spec.kind == kind:
-                return spec
-        raise KeyError(f"model has no {kind.name} head")
-
 
 @dataclass
 class TrainConfig:
@@ -315,10 +301,9 @@ def sgd_step(
         param += velocity
 
 
-def _dataset_loss(
-    model: Model, data: TrainingData, alpha: float, beta: float, chunk: int = 4096
-) -> dict[str, float]:
+def _dataset_loss(model: Model, data: TrainingData, alpha: float, beta: float) -> dict[str, float]:
     """Average loss over a whole split, computed in bounded-size chunks."""
+    chunk = 4096
     chunks = (data.take(slice(start, start + chunk)) for start in range(0, data.n_rows, chunk))
     return mean_losses((batch_loss(model, part, alpha, beta), part.n_rows) for part in chunks)
 

@@ -206,7 +206,7 @@ def materialised_training_data(
         uid = entry.utterance_id
         noisy_lps = container.read_features(feature_path(features_dir, uid, "noisy_lps")).data
         noisy_mfcc = None
-        if variant.mfcc_in_input:
+        if FeatureKind.MFCC in variant.input_kinds:
             noisy_mfcc = container.read_features(feature_path(features_dir, uid, "noisy_mfcc")).data
         inputs.append(spliced_input_rows(noisy_lps, noisy_mfcc, stats, tau, noise_aware_frames))
         clean_lps = container.read_features(feature_path(features_dir, uid, "clean_lps"))

@@ -97,7 +97,9 @@ def test_train_and_enhance_reach_the_traced_input_layers(tmp_path, monkeypatch):
     assert data.n_rows == 8 and splices
     model = init_model(Variant.BASELINE, input_dim(Variant.BASELINE, 5, 0, 1), stats, 1, 2, 5, 0, 4, 1)
     small = StftConfig(frame_len=8, hop=4, fft_size=8)
-    enhance_waveform(model, Waveform(np.linspace(-0.5, 0.5, 64), 16000), small)
+    enhance_waveform(
+        model, Waveform(np.linspace(-0.5, 0.5, 64), 16000), small, post=PostProcessConfig(enabled=False)
+    )
     assert builds == ["build_input_rows"]
 
 

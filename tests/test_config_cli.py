@@ -291,11 +291,22 @@ class TestPrepare:
         assert code == 0
         assert (again / "manifest.tsv").read_bytes() == (env["corpus"] / "manifest.tsv").read_bytes()
 
-    def test_empty_noise_dir_fails(self, env, tmp_path):
+    def test_empty_noise_dir_fails(self, env, tmp_path, caplog):
         empty = tmp_path / "no_noise"
         empty.mkdir()
         code = main(["prepare", str(env["clean_dir"]), str(empty), str(tmp_path / "out")])
         assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"error: no WAV files in {empty}"]
+
+    def test_empty_clean_dir_fails(self, env, tmp_path, caplog):
+        empty = tmp_path / "no_clean"
+        empty.mkdir()
+        code = main(["prepare", str(empty), str(env["noise_dir"]), str(tmp_path / "out")])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"error: no WAV files in {empty}"]
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_wav_fails(self, env, tmp_path):
         bad_dir = tmp_path / "bad_noise"
@@ -502,6 +513,31 @@ class TestTrain:
         )
         assert_one_line_error(result, "error:", f"{config_dims} ", f"has {corpus_dims}")
         assert not ckpt.exists()
+
+    def test_no_train_split_fails_in_one_line(self, env, tmp_path, caplog):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(env["corpus"] / "stats", corpus / "stats")
+        manifest = corpus / "manifest.tsv"
+        manifest.write_text((env["corpus"] / "manifest.tsv").read_text().replace("\ttrain\n", "\tval\n"))
+        ckpt = tmp_path / "m.sjnn"
+        assert main(["train", "--config", str(env["config"]), str(corpus), str(ckpt)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"error: manifest {manifest} has no train-split entries"]
+        assert not ckpt.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_ends_in_one_error_line(self, env, tmp_path, caplog):
+        config_path = tmp_path / "wild.cfg"
+        config_path.write_text(BASE_CONFIG.replace(
+            "train.learning_rate = 0.003", "train.learning_rate = 1e9"
+        ))
+        ckpt = tmp_path / "wild.sjnn"
+        assert main(["train", "--config", str(config_path), str(env["corpus"]), str(ckpt)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith("error: non-finite loss at epoch ")
+        # The rolled-back parameters and the epochs before the divergence are kept.
+        assert all(np.all(np.isfinite(w)) for w in load_model(ckpt).weights)
+        assert ckpt.with_suffix(".history.csv").read_text().startswith("epoch,learning_rate,")
 
     def test_checkpoint_directory_fails_before_training(self, env, tmp_path):
         ckpt = tmp_path / "m.sjnn"
@@ -717,13 +753,15 @@ class TestEnhance:
         assert_one_line_error(result, "error:", str(out_dir))
         assert {path.name: path.read_bytes() for path in inputs.iterdir()} == before
 
-    def test_missing_input_fails(self, env, tmp_path):
+    def test_missing_input_fails(self, env, tmp_path, caplog):
         empty = tmp_path / "empty"
         empty.mkdir()
         code = main([
             "enhance", "--config", str(env["config"]), str(env["ckpt"]), str(empty), str(tmp_path / "o"),
         ])
         assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"error: no WAV files in {empty}"]
 
     def test_short_wav_fails_only_that_file(self, env, tmp_path, caplog):
         # 1,000 samples give 2 frames, fewer than the 6 the noise estimate needs.

@@ -1,4 +1,5 @@
 import re
+import shutil
 import tempfile
 import tracemalloc
 import warnings
@@ -26,8 +27,6 @@ from specjoint import (
     build_input_rows,
     denormalize,
     estimate_noise_aware_vector,
-    fit_norm_stats,
-    frame_count,
     input_dim,
     load_training_data,
     mel_bank,
@@ -37,6 +36,7 @@ from specjoint import (
     read_manifest,
     read_norm_stats,
     read_wav,
+    stft,
     write_manifest,
     write_features,
     write_norm_stats,
@@ -53,32 +53,40 @@ def wave(samples, rate=16000):
     return Waveform(np.asarray(samples, dtype=np.float64), rate)
 
 
+def fit_stats(blocks):
+    """The statistics build_corpus fits, over the given blocks of frames."""
+    acc = corpus_mod._StreamingStats()
+    for block in blocks:
+        acc.add(block)
+    return acc.finish()
+
+
 class TestMixAtSnr:
     def test_zero_db_gain_is_one(self):
         clean = wave([0.5, -0.5, 0.5, -0.5])
         noise = wave([0.5, 0.5, -0.5, -0.5])
-        noisy, scaled = mix_at_snr(clean, noise, 0.0)
+        noisy, scaled = mix_at_snr(clean, noise, 0.0, 0)
         assert np.array_equal(scaled.samples, noise.samples)
         assert np.array_equal(noisy.samples, clean.samples + noise.samples)
 
     def test_twenty_db_gain_is_tenth(self):
         clean = wave([1.0, -1.0, 1.0, -1.0])
         noise = wave([1.0, 1.0, -1.0, -1.0])
-        _, scaled = mix_at_snr(clean, noise, 20.0)
+        _, scaled = mix_at_snr(clean, noise, 20.0, 0)
         assert scaled.samples == pytest.approx(noise.samples * 0.1, rel=1e-12)
 
     @pytest.mark.parametrize("snr_db", [20.0, 10.0, 0.0, -5.0, 7.3])
     def test_achieved_snr_matches_request(self, rng, snr_db):
         clean = wave(rng.standard_normal(4000))
         noise = wave(rng.standard_normal(6000))
-        _, scaled = mix_at_snr(clean, noise, snr_db)
+        _, scaled = mix_at_snr(clean, noise, snr_db, 0)
         achieved = 10.0 * np.log10(np.mean(clean.samples**2) / np.mean(scaled.samples**2))
         assert achieved == pytest.approx(snr_db, abs=1e-9)
 
     def test_noisy_is_exact_sum(self, rng):
         clean = wave(rng.standard_normal(1000))
         noise = wave(rng.standard_normal(1000))
-        noisy, scaled = mix_at_snr(clean, noise, 5.0)
+        noisy, scaled = mix_at_snr(clean, noise, 5.0, 0)
         assert np.array_equal(noisy.samples, clean.samples + scaled.samples)
 
     def test_offset_and_wraparound(self):
@@ -92,7 +100,7 @@ class TestMixAtSnr:
 
     def test_silent_clean_raises(self):
         with pytest.raises(ScalingError, match="clean signal is silent"):
-            mix_at_snr(wave(np.zeros(10)), wave(np.ones(10)), 0.0)
+            mix_at_snr(wave(np.zeros(10)), wave(np.ones(10)), 0.0, 0)
 
     def test_silent_noise_raises(self):
         noise = wave([1.0, 0.0, 0.0, 0.0])
@@ -102,14 +110,14 @@ class TestMixAtSnr:
     def test_subnormal_noise_power_raises(self):
         # Power 1e-320 is subnormal: the gain it gives would miss the SNR.
         with pytest.raises(ScalingError, match="noise segment is silent"):
-            mix_at_snr(wave([1e-10]), wave([1e-160]), 0.0)
+            mix_at_snr(wave([1e-10]), wave([1e-160]), 0.0, 0)
 
     def test_gain_overflow_raises(self):
         # The overflow is refused in one error, with no RuntimeWarning before it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ScalingError, match="too quiet to reach -10 dB"):
-                mix_at_snr(wave([1.0]), wave([2e-154]), -10.0)
+                mix_at_snr(wave([1.0]), wave([2e-154]), -10.0, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -140,7 +148,7 @@ class TestMixAtSnr:
 
     def test_rate_mismatch_raises(self):
         with pytest.raises(ValueError, match="sample rates differ"):
-            mix_at_snr(wave(np.ones(4)), wave(np.ones(4), rate=8000), 0.0)
+            mix_at_snr(wave(np.ones(4)), wave(np.ones(4), rate=8000), 0.0, 0)
 
 
 class TestNoiseAwareVector:
@@ -167,12 +175,12 @@ class TestNoiseAwareVector:
 
 class TestNormStats:
     def test_two_frame_hand_case(self):
-        stats = fit_norm_stats([np.array([[0.0], [2.0]])])
+        stats = fit_stats([np.array([[0.0], [2.0]])])
         assert stats.mean.tolist() == [1.0]
         assert stats.variance.tolist() == [1.0]
 
     def test_constant_hits_floor(self):
-        stats = fit_norm_stats([np.full((5, 2), 3.0)])
+        stats = fit_stats([np.full((5, 2), 3.0)])
         assert stats.mean == pytest.approx([3.0, 3.0])
         assert stats.variance.tolist() == [1e-8, 1e-8]
 
@@ -180,29 +188,29 @@ class TestNormStats:
         # Same totals regardless of utterance boundaries, up to summation
         # roundoff.
         data = rng.standard_normal((30, 4))
-        whole = fit_norm_stats([data])
-        parts = fit_norm_stats([data[:7], data[7:19], data[19:]])
+        whole = fit_stats([data])
+        parts = fit_stats([data[:7], data[7:19], data[19:]])
         assert parts.mean == pytest.approx(whole.mean, rel=1e-12)
         assert parts.variance == pytest.approx(whole.variance, rel=1e-12)
 
     def test_population_convention(self, rng):
         data = rng.standard_normal((50, 3))
-        stats = fit_norm_stats([data])
+        stats = fit_stats([data])
         assert stats.variance == pytest.approx(data.var(axis=0, ddof=0), rel=1e-9)
 
     def test_too_few_frames_raises(self):
         with pytest.raises(ValueError, match="at least 2 frames"):
-            fit_norm_stats([np.zeros((1, 2))])
+            fit_stats([np.zeros((1, 2))])
 
     def test_normalize_roundtrip(self, rng):
         data = rng.standard_normal((8, 3)) * 4.0 + 2.0
-        stats = fit_norm_stats([data])
+        stats = fit_stats([data])
         back = denormalize(normalize(data, stats), stats)
         assert back == pytest.approx(data, rel=1e-12)
 
     def test_normalized_moments(self, rng):
         data = rng.standard_normal((200, 2)) * 3.0 - 1.0
-        normed = normalize(data, fit_norm_stats([data]))
+        normed = normalize(data, fit_stats([data]))
         assert normed.mean(axis=0) == pytest.approx([0.0, 0.0], abs=1e-12)
         assert normed.var(axis=0) == pytest.approx([1.0, 1.0], rel=1e-9)
 
@@ -318,11 +326,12 @@ class TestVariant:
         )
 
     def test_mfcc_in_input(self):
-        assert not Variant.BASELINE.mfcc_in_input
-        assert not Variant.MFCC_OUT.mfcc_in_input
-        assert not Variant.IBM.mfcc_in_input
-        assert Variant.MFCC.mfcc_in_input
-        assert Variant.MFCC_IBM.mfcc_in_input
+        lps_only = (FeatureKind.LPS,)
+        assert Variant.BASELINE.input_kinds == lps_only
+        assert Variant.MFCC_OUT.input_kinds == lps_only
+        assert Variant.IBM.input_kinds == lps_only
+        assert Variant.MFCC.input_kinds == (FeatureKind.LPS, FeatureKind.MFCC)
+        assert Variant.MFCC_IBM.input_kinds == (FeatureKind.LPS, FeatureKind.MFCC)
 
     def test_input_dim(self):
         assert input_dim(Variant.BASELINE, 257, 41, 3) == 2056
@@ -516,11 +525,11 @@ class TestBuildCorpus:
             read_features(feature_path(out_dir / "features", e.utterance_id, "noisy_lps")).data
             for e in train
         ]
-        expected = fit_norm_stats(blocks)
+        frames = np.vstack(blocks)
         stats = read_corpus_stats(out_dir)[FeatureKind.LPS]
         # Stored as f32, so compare at that precision.
-        assert stats.mean == pytest.approx(expected.mean, rel=1e-6)
-        assert stats.variance == pytest.approx(expected.variance, rel=1e-6)
+        assert stats.mean == pytest.approx(frames.mean(axis=0), rel=1e-6)
+        assert stats.variance == pytest.approx(frames.var(axis=0), rel=1e-6)
 
     def test_rebuild_is_byte_identical(self, corpus, tmp_path, monkeypatch):
         root, out_dir, _ = corpus
@@ -556,7 +565,7 @@ class TestBuildCorpus:
         _, out_dir, entries = corpus
         stats = read_corpus_stats(out_dir)
         data = load_training_data(out_dir, entries, Variant.BASELINE, stats)
-        n_frames = frame_count(int(0.3 * 16000), StftConfig())
+        n_frames = stft(wave(np.zeros(int(0.3 * 16000))), StftConfig()).n_frames
         assert data.n_rows == n_frames * len(entries)
         assert data.inputs.shape[1] == input_dim(Variant.BASELINE, 257, 41, 3)
         assert data.targets_lps.shape == (data.n_rows, 257)
@@ -618,6 +627,53 @@ class TestBuildCorpus:
         assert len(calls) == call
         assert sorted(out_dir.rglob("*")) == before
         assert (out_dir / "noisy" / "old.wav").read_bytes() == b"kept"
+
+    def test_failed_rebuild_removes_the_earlier_files_it_overwrote(self, corpus, tmp_path, monkeypatch):
+        # Overwriting an earlier corpus is allowed; a rebuild that fails at
+        # the MFCC statistics has rewritten every mixture and the LPS
+        # statistics by then, and removes them all. Other files stay, among
+        # them the earlier manifest, which is written last.
+        root, first, _ = corpus
+        out_dir = tmp_path / "out"
+        shutil.copytree(first, out_dir)
+        (out_dir / "notes.txt").write_text("kept")
+        (out_dir / "noisy" / "old.wav").write_bytes(b"kept")
+        real = corpus_mod.write_norm_stats
+        calls = []
+
+        def fail_on_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ScalingError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(corpus_mod, "write_norm_stats", fail_on_second_call)
+        with pytest.raises(ScalingError, match="injected failure"):
+            build_corpus(
+                sorted((root / "clean").glob("*.wav")),
+                sorted((root / "noise").glob("*.wav")),
+                out_dir,
+                StftConfig(),
+                mel_bank(),
+                IbmConfig(),
+                snr_grid=(10.0, 0.0),
+                val_fraction=0.0,
+                test_fraction=0.5,
+                seed=7,
+            )
+        left = sorted(path.relative_to(out_dir).as_posix() for path in out_dir.rglob("*"))
+        assert left == ["features", "manifest.tsv", "noisy", "noisy/old.wav", "notes.txt", "stats"]
+        assert (out_dir / "manifest.tsv").read_bytes() == (first / "manifest.tsv").read_bytes()
+
+    def test_manifest_keeps_snr_precision(self, tmp_path):
+        clean, noise = tmp_path / "clean" / "v.wav", tmp_path / "noise" / "white.wav"
+        write_wav(clean, harmonic_voice(0.3, 16000, seed=0))
+        write_wav(noise, white_noise(0.5, 16000, seed=10))
+        entries = build_corpus(
+            [clean], [noise], tmp_path / "out", StftConfig(), mel_bank(), IbmConfig(), snr_grid=(0.1234567,)
+        )
+        assert [e.snr_db for e in entries] == [0.1234567]
+        assert read_manifest(tmp_path / "out" / "manifest.tsv") == entries
 
     @pytest.mark.parametrize(
         "clean_stems, noise_stems, grid, clash",

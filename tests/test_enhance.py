@@ -13,7 +13,6 @@ from specjoint import (
     Waveform,
     enhance_features,
     enhance_waveform,
-    fit_norm_stats,
     lps,
     magnitude_phase,
     mel_bank,
@@ -28,6 +27,7 @@ from oracles import loop_post_process
 
 SMALL = StftConfig(frame_len=32, hop=16, fft_size=32)
 BINS = SMALL.n_bins  # 17
+GATE_OFF = PostProcessConfig(enabled=False)
 
 
 def identity_stats(dims):
@@ -210,7 +210,7 @@ class TestEnhanceWaveform:
 
     def test_copying_model_reproduces_noisy(self):
         noisy = self.noisy()
-        result = enhance_waveform(copying_model(), noisy, SMALL)
+        result = enhance_waveform(copying_model(), noisy, SMALL, post=GATE_OFF)
         estimated, _, spec, _ = enhance_features(copying_model(), noisy, SMALL)
         # The estimate passes through a float32 forward pass.
         assert estimated.data == pytest.approx(lps(spec).data, rel=1e-5)
@@ -222,11 +222,7 @@ class TestEnhanceWaveform:
     def test_disabled_gate_passes_estimate_through(self):
         noisy = self.noisy(seed=1)
         model = copying_model(Variant.IBM, with_mask=True)
-        explicit = enhance_waveform(
-            model, noisy, SMALL, post=PostProcessConfig(enabled=False)
-        )
-        default = enhance_waveform(model, noisy, SMALL, post=None)
-        assert np.array_equal(explicit.enhanced.samples, default.enhanced.samples)
+        explicit = enhance_waveform(model, noisy, SMALL, post=GATE_OFF)
         estimated, _, spec, _ = enhance_features(model, noisy, SMALL)
         _, phases = magnitude_phase(spec)
         raw, _ = reconstruct(estimated, phases, SMALL, len(noisy), noisy.sample_rate)
@@ -238,6 +234,21 @@ class TestEnhanceWaveform:
             enhance_waveform(
                 copying_model(), self.noisy(), SMALL, post=PostProcessConfig()
             )
+
+    def test_gate_is_on_by_default(self):
+        # As in PostProcessConfig() and the command line: a call without
+        # `post` gates, and a mask-free model then fails.
+        noisy = self.noisy(seed=4)
+        model = copying_model(Variant.IBM, with_mask=True)
+        model.biases[0][BINS:] = np.linspace(0.0, 1.1, BINS)
+        default = enhance_waveform(model, noisy, SMALL)
+        gated = enhance_waveform(model, noisy, SMALL, post=PostProcessConfig())
+        plain = enhance_waveform(model, noisy, SMALL, post=GATE_OFF)
+        assert np.array_equal(default.enhanced.samples, gated.enhanced.samples)
+        assert default.counters == gated.counters and "kept_noisy" in default.counters
+        assert not np.array_equal(default.enhanced.samples, plain.enhanced.samples)
+        with pytest.raises(ConfigError, match="no mask head"):
+            enhance_waveform(copying_model(), noisy, SMALL)
 
     def test_mask_variant_populates_diagnostics(self):
         noisy = self.noisy(seed=2)
@@ -257,7 +268,7 @@ class TestEnhanceWaveform:
         noisy = self.noisy(seed=3)
         model = copying_model(Variant.IBM, with_mask=True)
         gated = enhance_waveform(model, noisy, SMALL, post=PostProcessConfig())
-        plain = enhance_waveform(model, noisy, SMALL)
+        plain = enhance_waveform(model, noisy, SMALL, post=GATE_OFF)
         assert np.array_equal(gated.enhanced.samples, plain.enhanced.samples)
         assert gated.counters == {
             **plain.counters,
@@ -271,7 +282,7 @@ class TestEnhanceWaveform:
         model.variant = Variant.MFCC
         model.stats[FeatureKind.MFCC] = identity_stats(41)
         with pytest.raises(ConfigError, match="needs a mel filter bank"):
-            enhance_waveform(model, speech_like, SMALL)
+            enhance_waveform(model, speech_like, SMALL, post=GATE_OFF)
 
     def test_full_scale_variant_runs(self, speech_like, stft_config):
         # End to end with the real feature sizes and a trained-shape model.
@@ -280,8 +291,11 @@ class TestEnhanceWaveform:
         bank = mel_bank()
         spec = stft(speech_like, stft_config)
         stats = {
-            FeatureKind.LPS: fit_norm_stats([lps(spec).data]),
-            FeatureKind.MFCC: fit_norm_stats([mfcc_fn(spec, bank).data]),
+            kind: NormStats(data.mean(axis=0), np.maximum(data.var(axis=0), 1e-8))
+            for kind, data in (
+                (FeatureKind.LPS, lps(spec).data),
+                (FeatureKind.MFCC, mfcc_fn(spec, bank).data),
+            )
         }
         model = init_model(
             Variant.MFCC_IBM,
@@ -339,7 +353,7 @@ class TestDiagnosticsFile:
             # A 4-nat log-power boost drives many samples past full scale.
             model = copying_model()
             model.biases[0] += 4.0
-            post = None
+            post = GATE_OFF
         path = tmp_path / "utt.diag.txt"
         write_diagnostics(path, enhance_waveform(model, noisy, SMALL, post=post))
         assert path.read_bytes() == self.GOLDEN[case].encode("utf-8")

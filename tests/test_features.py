@@ -143,7 +143,7 @@ class TestIbm:
     def test_strictly_greater_wins(self):
         clean = small_spec([[2.0, 1.0, 1.0, 0.5, 0.0]])
         noise = small_spec([[1.0, 1.0, 2.0, 0.1, 1.0]])
-        out = compute_ibm(clean, noise)
+        out = compute_ibm(clean, noise, IbmConfig())
         assert out.kind == FeatureKind.IBM
         # Equal powers fail the strict comparison.
         assert out.data.tolist() == [[1.0, 0.0, 0.0, 1.0, 0.0]]
@@ -160,7 +160,7 @@ class TestIbm:
     def test_zero_noise_gives_speech(self):
         clean = small_spec([[1.0, 0.0, 1e-5, 0.0, 1.0]])
         noise = small_spec(np.zeros((1, 5)))
-        out = compute_ibm(clean, noise)
+        out = compute_ibm(clean, noise, IbmConfig())
         # Noise power is floored, so any audible clean bin wins; silent
         # clean bins lose.
         assert out.data.tolist() == [[1.0, 0.0, 1.0, 0.0, 1.0]]
@@ -169,7 +169,7 @@ class TestIbm:
         clean = small_spec(np.zeros((2, 5)))
         noise = small_spec(np.zeros((3, 5)))
         with pytest.raises(ValueError, match="shape mismatch"):
-            compute_ibm(clean, noise)
+            compute_ibm(clean, noise, IbmConfig())
 
 
 class TestSplice:

@@ -242,7 +242,7 @@ def eval_setup(tmp_path_factory):
 
 def evaluate(entries, enhanced_dir):
     """The evaluate command's pass: score every pair, then average per condition and overall."""
-    scored, missing, failed = metrics.score_pairs(entries, enhanced_dir, metrics.ssnr_stoi)
+    scored, missing, failed = metrics.score_pairs(entries, enhanced_dir, metrics.ssnr_stoi, 16000, map)
     return scored, missing, failed, metrics.condition_means(scored)
 
 
@@ -319,7 +319,7 @@ def test_interleaved_voices_are_scored_against_their_own_clean(tmp_path, monkeyp
         return read_wav(path, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "read_wav", counting_read_wav)
-    scored, missing, failed = metrics.score_pairs(entries, tmp_path / "enhanced", same_samples)
+    scored, missing, failed = metrics.score_pairs(entries, tmp_path / "enhanced", same_samples, 16000, map)
     assert [e.utterance_id for e, _ in scored] == sorted(e.utterance_id for e in entries)
     assert [e.clean_path.stem for e, _ in scored] == ["a", "a_", "a_", "a"]
     assert all(same for _, same in scored) and not missing and not failed
@@ -336,7 +336,7 @@ def test_each_pair_is_one_unit_of_work(tmp_path):
         handed.append(len(items))
         return map(fn, items)
 
-    scored, _, _ = metrics.score_pairs(entries, tmp_path / "enhanced", same_samples, map_fn=recording_map)
+    scored, _, _ = metrics.score_pairs(entries, tmp_path / "enhanced", same_samples, 16000, recording_map)
     assert handed == [3] and len(scored) == 3
 
 

