@@ -98,81 +98,3 @@ from .network import (
 from .wavio import read_wav, write_wav
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AudioFormatError",
-    "ConfigError",
-    "EpochStats",
-    "FeatureKind",
-    "FeatureMatrix",
-    "FormatError",
-    "HeadSpec",
-    "IbmConfig",
-    "MetricError",
-    "MixSpec",
-    "Model",
-    "NormStats",
-    "PostProcessConfig",
-    "RunConfig",
-    "ScalingError",
-    "SpecJointError",
-    "Spectrogram",
-    "StftConfig",
-    "TrainConfig",
-    "TrainingData",
-    "TrainingDivergedError",
-    "Variant",
-    "Waveform",
-    "assemble_batches",
-    "backward",
-    "batch_loss",
-    "build_corpus",
-    "build_input_rows",
-    "combine_magnitude_phase",
-    "compute_ibm",
-    "dct_matrix",
-    "denormalize",
-    "distortion_profile",
-    "enhance_features",
-    "enhance_waveform",
-    "estimate_noise_aware_vector",
-    "hz_to_mel",
-    "init_model",
-    "input_dim",
-    "istft",
-    "load_model",
-    "load_training_data",
-    "loss_and_output_grad",
-    "lps",
-    "magnitude_phase",
-    "mean_losses",
-    "mel_bank",
-    "mel_to_hz",
-    "mfcc",
-    "mix_at_snr",
-    "normalize",
-    "oracle_post_process",
-    "post_process",
-    "predict",
-    "profile_csv",
-    "read_corpus_stats",
-    "read_features",
-    "read_manifest",
-    "read_norm_stats",
-    "read_wav",
-    "reconstruct",
-    "report_csv",
-    "save_model",
-    "sgd_step",
-    "splice",
-    "ssnr",
-    "stft",
-    "stoi",
-    "train",
-    "window",
-    "write_diagnostics",
-    "write_features",
-    "write_manifest",
-    "write_norm_stats",
-    "write_wav",
-]

@@ -245,10 +245,10 @@ def _score_split(args, config: RunConfig, score):
     """metrics.score_pairs over the chosen split, logging each utterance
     with no enhanced WAV and each that cannot be scored; fails when none
     can be scored."""
-    entries = read_manifest(Path(args.corpus_dir) / corpus_mod.MANIFEST_NAME)
-    selected = [e for e in entries if e.split == args.split]
+    manifest = Path(args.corpus_dir) / corpus_mod.MANIFEST_NAME
+    selected = [e for e in read_manifest(manifest) if e.split == args.split]
     if not selected:
-        raise SpecJointError(f"manifest has no {args.split!r}-split entries")
+        raise SpecJointError(f"manifest {manifest} has no {args.split}-split entries")
     with _per_file_map(args.jobs) as map_fn:
         scored, missing, failed = metrics_mod.score_pairs(
             selected, args.enhanced_dir, score, config.sample_rate, map_fn

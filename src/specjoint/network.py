@@ -21,7 +21,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .corpus import NormStats, TrainingData, Variant, assemble_batches, feature_widths
+from .corpus import NormStats, TrainingData, Variant, assemble_batches, feature_widths, input_dim
 from .errors import ConfigError, FormatError, TrainingDivergedError
 from .features import FeatureKind
 
@@ -468,6 +468,8 @@ def load_model(path: str | Path) -> Model:
         if variant_code not in _CODE_VARIANTS:
             raise FormatError(f"{path}: unknown variant code {variant_code}")
         (n_layers,) = reader.unpack("<I")
+        if not n_layers:
+            raise FormatError(f"{path}: checkpoint has no layers")
         shapes = [reader.unpack("<II") for _ in range(n_layers)]
         for (_, out_prev), (in_next, _) in zip(shapes[:-1], shapes[1:]):
             if out_prev != in_next:
@@ -484,18 +486,6 @@ def load_model(path: str | Path) -> Model:
         for _ in range(n_heads):
             kind_code, offset, width = reader.unpack("<BII")
             heads.append(HeadSpec(feature_kind(kind_code), offset, width))
-        variant = _CODE_VARIANTS[variant_code]
-        edges = list(itertools.accumulate((h.width for h in heads), initial=0))
-        out_width = shapes[-1][1] if shapes else 0
-        if (
-            tuple(h.kind for h in heads) != variant.head_kinds
-            or [h.offset for h in heads] != edges[:-1]
-            or edges[-1] != out_width
-        ):
-            raise FormatError(
-                f"{path}: head table does not fit variant {variant.value!r} "
-                f"and its {out_width}-wide output layer"
-            )
         (n_stats,) = reader.unpack("<B")
         stats = {}
         for _ in range(n_stats):
@@ -503,6 +493,19 @@ def load_model(path: str | Path) -> Model:
             mean = reader.array("<f8", dims)
             variance = reader.array("<f8", dims)
             stats[feature_kind(kind_code)] = NormStats(mean, variance)
+        # The layout init_model builds for this variant, these statistics and tau.
+        variant = _CODE_VARIANTS[variant_code]
+        dims = {kind: s.dims for kind, s in stats.items()}
+        lps_dims, mfcc_dims = dims.get(FeatureKind.LPS, 0), dims.get(FeatureKind.MFCC, 0)
+        layout = head_layout(variant, lps_dims, mfcc_dims)
+        widths = (shapes[0][0], shapes[-1][1])
+        if tuple(heads) != layout or widths != (
+            input_dim(variant, lps_dims, mfcc_dims, tau), sum(h.width for h in layout)
+        ):
+            raise FormatError(
+                f"{path}: head table does not fit variant {variant.value!r} with tau {tau}, "
+                f"{lps_dims} LPS and {mfcc_dims} MFCC dims in a {widths[0]}-in, {widths[1]}-out network"
+            )
         weights, biases = [], []
         for fan_in, fan_out in shapes:
             weights.append(reader.array("<f4", fan_in, fan_out))

@@ -7,8 +7,14 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from specjoint import StftConfig, Waveform
+
+# Property tests are bounded by their example counts, not by the clock: on a
+# loaded machine a deadline fails a correct property on time alone.
+settings.register_profile("specjoint", deadline=None)
+settings.load_profile("specjoint")
 
 
 @pytest.fixture

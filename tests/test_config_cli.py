@@ -890,7 +890,7 @@ class TestEnhance:
         result = run_child(
             "enhance", "--config", str(env["config"]), str(ckpt), str(env["corpus"] / "noisy"), str(out)
         )
-        assert_one_line_error(result, "error:", "257 LPS dims", "has 0")
+        assert_one_line_error(result, "error:", str(ckpt), "head table")
         assert not out.exists()
 
     def test_misfit_head_width_fails_in_one_line(self, env, tmp_path):
@@ -906,6 +906,37 @@ class TestEnhance:
             str(bad), str(env["corpus"] / "noisy"), str(tmp_path / "o"),
         )
         assert_one_line_error(result, "error:", str(bad), "head table")
+
+    @pytest.mark.parametrize("fault", ["tau", "variant", "first-layer", "lps-head", "ibm-head"])
+    def test_checkpoint_off_its_own_layout_fails_in_one_line(self, env, tmp_path, fault):
+        # Well-formed files whose layout is not the one init_model builds for
+        # their own variant, statistics and tau.
+        variant = {"variant": Variant.MFCC_OUT, "ibm-head": Variant.IBM}.get(fault, Variant.BASELINE)
+        stats = corpus_mod.read_corpus_stats(env["corpus"])
+        lps, mfcc = stats[FeatureKind.LPS].dims, stats[FeatureKind.MFCC].dims
+        dims = input_dim(variant, lps, mfcc, 3)
+        model = init_model(variant, dims, stats, 3, 6, lps, mfcc, hidden_units=8, hidden_layers=1)
+        if fault == "tau":
+            model.tau = 2
+        elif fault == "variant":
+            model.variant = Variant.MFCC  # the same heads, but the MFCC joins the input
+        elif fault == "first-layer":
+            model.weights[0] = model.weights[0][lps:]
+        else:  # narrow the last head, and the output layer with it
+            last = model.heads[-1]
+            end = last.offset + {"lps-head": 129, "ibm-head": 100}[fault]
+            model.heads = (*model.heads[:-1], HeadSpec(last.kind, last.offset, end - last.offset))
+            model.weights[-1], model.biases[-1] = model.weights[-1][:, :end], model.biases[-1][:end]
+        ckpt = tmp_path / f"{fault}.sjnn"
+        save_model(ckpt, model)
+        out = tmp_path / "o"
+        post = "on" if variant == Variant.IBM else "off"  # only the gate reads the mask
+        result = run_child(
+            "enhance", "--config", str(env["config"]), "--post-process", post,
+            str(ckpt), str(env["corpus"] / "noisy"), str(out),
+        )
+        assert_one_line_error(result, "error:", str(ckpt), "head table")
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -958,6 +989,13 @@ class TestEvaluate:
             str(tmp_path / "x.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "distortion-profile"])
+    def test_empty_split_names_the_manifest(self, env, tmp_path, command):
+        result = run_child(
+            command, "--split", "val", str(env["corpus"]), str(env["enhanced"]), str(tmp_path / "x.csv")
+        )
+        assert_one_line_error(result, "error:", str(env["corpus"] / "manifest.tsv"), "val-split")
 
     @pytest.mark.parametrize("case", [*CUT_WAVS, "directory"])
     def test_enhanced_file_that_cannot_be_read_fails_only_itself(self, env, tmp_path, caplog, case):

@@ -104,7 +104,7 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(matrix=_MATRICES, cut=st.floats(0.0, 1.0, exclude_max=True))
 def test_every_strict_prefix_is_rejected(scratch, matrix, cut):
     path = scratch / "cut.sjfm"
@@ -118,7 +118,7 @@ def test_every_strict_prefix_is_rejected(scratch, matrix, cut):
     assert "truncated container" in message or "payload size" in message
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(matrix=_MATRICES, extra=st.binary(min_size=1, max_size=64))
 def test_appended_bytes_are_rejected(scratch, matrix, extra):
     path = scratch / "long.sjfm"
@@ -130,7 +130,7 @@ def test_appended_bytes_are_rejected(scratch, matrix, extra):
     assert str(err.value) == f"{path}: payload size {size + len(extra)} != expected {size}"
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(matrix=_MATRICES)
 def test_untouched_file_round_trips(scratch, matrix):
     first, second = scratch / "first.sjfm", scratch / "second.sjfm"

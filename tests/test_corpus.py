@@ -119,7 +119,7 @@ class TestMixAtSnr:
             with pytest.raises(ScalingError, match="too quiet to reach -10 dB"):
                 mix_at_snr(wave([1.0]), wave([2e-154]), -10.0, 0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=48).filter(any),
         st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
@@ -378,7 +378,7 @@ class TestBuildInputRows:
         assert windows[0].tolist() == [0, 0, 0, 0, 1, 2, 3, 9]
         assert windows[8].tolist() == [5, 6, 7, 8, 8, 8, 8, 9]
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         tau=st.integers(0, 4),
         noise_aware_frames=st.integers(1, 6),
@@ -741,7 +741,7 @@ def assert_same_bytes(a, b):
 
 
 class TestLoadTrainingData:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         variant=st.sampled_from([Variant.BASELINE, Variant.MFCC_IBM]),
         tau=st.integers(0, 4),

@@ -128,7 +128,7 @@ def assert_matches_loop(reference: Waveform, test: Waveform) -> None:
 class TestStoiMatchesLoop:
     """stoi scores all 30-frame segments at once; the oracle loops over them."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(10000, 24000), _NOISE, _SEED)
     def test_random_inputs(self, length, noise, seed):
         rng = np.random.default_rng(seed)
@@ -137,7 +137,7 @@ class TestStoiMatchesLoop:
         ref = rng.standard_normal(length) * loudness
         assert_matches_loop(wave(ref), wave(ref + noise * rng.standard_normal(length)))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(_NOISE, _SEED)
     def test_exactly_one_segment(self, noise, seed):
         rng = np.random.default_rng(seed)
@@ -148,14 +148,14 @@ class TestStoiMatchesLoop:
         assert metrics._band_envelopes(kept).shape[0] == metrics.STOI_SEGMENT
         assert_matches_loop(wave(ref, metrics.STOI_RATE), wave(tst, metrics.STOI_RATE))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(8000, 16000), st.integers(1, 16000), _NOISE, _SEED)
     def test_silent_tail(self, length, tail, noise, seed):
         rng = np.random.default_rng(seed)
         ref = np.concatenate([rng.standard_normal(length), np.zeros(tail)])
         assert_matches_loop(wave(ref), wave(ref + noise * rng.standard_normal(len(ref))))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(1, 6000), st.floats(-1.0, 1.0))
     def test_short_dc_inputs_raise(self, length, level):
         # Under 6,349 samples at 16 kHz give fewer than 30 frames at 10 kHz.

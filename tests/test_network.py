@@ -20,6 +20,7 @@ from specjoint import (
     backward,
     batch_loss,
     init_model,
+    input_dim,
     load_model,
     loss_and_output_grad,
     mean_losses,
@@ -49,6 +50,27 @@ def tiny_model(variant=Variant.BASELINE, seed=0, hidden_units=16, hidden_layers=
         variant,
         INPUT_DIM,
         stats={},
+        tau=3,
+        noise_aware_frames=6,
+        lps_dims=LPS_DIMS,
+        mfcc_dims=MFCC_DIMS,
+        hidden_units=hidden_units,
+        hidden_layers=hidden_layers,
+        seed=seed,
+    )
+
+
+def corpus_model(variant=Variant.BASELINE, seed=0, hidden_units=16, hidden_layers=2):
+    """A tiny model as `train` builds one from a corpus: with LPS and MFCC
+    statistics and the input width they give, so its checkpoint loads."""
+    stats = {
+        FeatureKind.LPS: NormStats(np.arange(5.0), np.arange(1.0, 6.0)),
+        FeatureKind.MFCC: NormStats(np.array([0.5, -1.5, 2.5]), np.array([1.0, 2.0, 0.25])),
+    }
+    return init_model(
+        variant,
+        input_dim(variant, LPS_DIMS, MFCC_DIMS, 3),
+        stats,
         tau=3,
         noise_aware_frames=6,
         lps_dims=LPS_DIMS,
@@ -514,13 +536,10 @@ class TestTrain:
 
 class TestCheckpoint:
     def trained_model(self):
-        model = tiny_model(Variant.MFCC_IBM, seed=11)
-        model.stats = {
-            FeatureKind.LPS: NormStats(np.arange(5.0), np.arange(1.0, 6.0)),
-            FeatureKind.MFCC: NormStats(np.array([0.5, -1.5, 2.5]), np.array([1.0, 2.0, 0.25])),
-        }
+        model = corpus_model(Variant.MFCC_IBM, seed=11)
+        data = random_training_data(Variant.MFCC_IBM, 24, model.input_dim, LPS_DIMS, MFCC_DIMS, 11)
         config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=11)
-        train(model, tiny_data(Variant.MFCC_IBM, seed=11), config)
+        train(model, data, config)
         return model
 
     def test_roundtrip(self, tmp_path):
@@ -560,13 +579,13 @@ class TestCheckpoint:
         # Saved models name their variant by this byte, so reordering
         # Variant must not remap them.
         path = tmp_path / "model.sjnn"
-        save_model(path, tiny_model(variant, hidden_layers=1))
+        save_model(path, corpus_model(variant, hidden_layers=1))
         assert path.read_bytes()[8] == code
         assert load_model(path).variant == variant
 
     def saved(self, tmp_path):
         path = tmp_path / "model.sjnn"
-        save_model(path, tiny_model(seed=0, hidden_layers=1))
+        save_model(path, corpus_model(seed=0, hidden_layers=1))
         return path
 
     def test_rejects_wrong_magic(self, tmp_path):
@@ -606,10 +625,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("byte", ["head", "stats"])
     def test_rejects_unknown_feature_kind(self, tmp_path, byte):
-        model = tiny_model(seed=0, hidden_layers=1)
-        model.stats[FeatureKind.LPS] = NormStats(np.zeros(LPS_DIMS), np.ones(LPS_DIMS))
-        path = tmp_path / "model.sjnn"
-        save_model(path, model)
+        path = self.saved(tmp_path)
         blob = bytearray(path.read_bytes())
         # Two layers: the head count follows 4 + 4 + 9 + 4 + 2 * 8 bytes, and
         # each head is <BII>; the stats count byte follows the heads.
@@ -623,7 +639,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("fault", ["variant", "order", "offset", "width"])
     def test_rejects_misfit_head_table(self, tmp_path, fault):
         path = tmp_path / "model.sjnn"
-        save_model(path, tiny_model(Variant.MFCC_IBM, seed=0, hidden_layers=1))
+        save_model(path, corpus_model(Variant.MFCC_IBM, seed=0, hidden_layers=1))
         blob = bytearray(path.read_bytes())
         # Two layers: the LPS, MFCC and IBM heads follow as <BII> (kind,
         # offset, width) after 4 + 4 + 9 + 4 + 2 * 8 bytes and the count byte.
@@ -638,6 +654,23 @@ class TestCheckpoint:
             struct.pack_into("<I", blob, heads + 18 + 5, LPS_DIMS - 1)
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="head table does not fit"):
+            load_model(path)
+
+    def test_rejects_missing_lps_stats(self, tmp_path):
+        # Without them the LPS head's width is unknown, so no layout fits.
+        model = corpus_model(hidden_layers=1)
+        del model.stats[FeatureKind.LPS]
+        path = tmp_path / "model.sjnn"
+        save_model(path, model)
+        with pytest.raises(FormatError, match="head table does not fit"):
+            load_model(path)
+
+    def test_rejects_zero_layers(self, tmp_path):
+        model = corpus_model()
+        model.weights, model.biases = [], []
+        path = tmp_path / "model.sjnn"
+        save_model(path, model)
+        with pytest.raises(FormatError, match="checkpoint has no layers"):
             load_model(path)
 
     def test_rejects_truncation(self, tmp_path):
@@ -656,18 +689,14 @@ class TestCheckpoint:
 
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory):
-    model = tiny_model(Variant.MFCC_IBM, seed=11, hidden_layers=1)
-    model.stats = {
-        FeatureKind.LPS: NormStats(np.arange(5.0), np.arange(1.0, 6.0)),
-        FeatureKind.MFCC: NormStats(np.array([0.5, -1.5, 2.5]), np.array([1.0, 2.0, 0.25])),
-    }
+    model = corpus_model(Variant.MFCC_IBM, seed=11, hidden_layers=1)
     path = tmp_path_factory.mktemp("checkpoint") / "model.sjnn"
     save_model(path, model)
     return path
 
 
 class TestCheckpointFuzz:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(cut=st.floats(0.0, 1.0, exclude_max=True))
     def test_every_strict_prefix_is_truncated(self, checkpoint, cut):
         blob = checkpoint.read_bytes()
@@ -677,7 +706,7 @@ class TestCheckpointFuzz:
             load_model(path)
         assert str(err.value) == f"{path}: checkpoint truncated"
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(extra=st.binary(min_size=1, max_size=300))
     def test_appended_bytes_are_counted(self, checkpoint, extra):
         path = checkpoint.with_name("long.sjnn")
@@ -686,22 +715,18 @@ class TestCheckpointFuzz:
             load_model(path)
         assert str(err.value) == f"{path}: {len(extra)} trailing bytes"
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         variant=st.sampled_from(list(Variant)),
         hidden_units=st.integers(1, 8),
         hidden_layers=st.integers(1, 3),
         seed=st.integers(0, 2**16),
-        with_stats=st.booleans(),
     )
-    def test_untouched_file_round_trips(
-        self, checkpoint, variant, hidden_units, hidden_layers, seed, with_stats
-    ):
-        model = tiny_model(variant, seed, hidden_units, hidden_layers)
+    def test_untouched_file_round_trips(self, checkpoint, variant, hidden_units, hidden_layers, seed):
+        model = corpus_model(variant, seed, hidden_units, hidden_layers)
         rng = np.random.default_rng(seed)
         model.biases = [rng.standard_normal(b.shape).astype(np.float32) for b in model.biases]
-        if with_stats:
-            model.stats[FeatureKind.LPS] = NormStats(rng.standard_normal(5), rng.random(5))
+        model.stats[FeatureKind.LPS] = NormStats(rng.standard_normal(5), rng.random(5))
         first, second = checkpoint.with_name("first.sjnn"), checkpoint.with_name("second.sjnn")
         save_model(first, model)
         back = load_model(first)
@@ -737,7 +762,7 @@ class TestMemory:
     hidden layers make the parameters dwarf everything else allocated."""
 
     def test_load_holds_the_model_once(self, tmp_path):
-        model = tiny_model(hidden_units=512)
+        model = corpus_model(hidden_units=512)
         path = tmp_path / "model.sjnn"
         save_model(path, model)
         load_model(path)  # first-use allocations are not what this measures
