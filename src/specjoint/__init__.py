@@ -38,7 +38,6 @@ from .dsp import (
     dct_matrix,
     istft,
     magnitude_phase,
-    combine_magnitude_phase,
     stft,
     window,
 )

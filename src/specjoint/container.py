@@ -21,8 +21,6 @@ _HEADER = struct.Struct("<4sIBII")
 
 def write_features(path: str | Path, features: FeatureMatrix) -> None:
     """Serialize a feature matrix; payload is stored as f32."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     data = np.ascontiguousarray(features.data, dtype="<f4")
     header = _HEADER.pack(MAGIC, VERSION, int(features.kind), features.n_frames, features.dims)
     with open(path, "wb") as handle:

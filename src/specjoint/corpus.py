@@ -157,8 +157,12 @@ def mix_at_snr(
         raise ScalingError("clean signal is silent; cannot set an SNR")
     if noise_power < np.finfo(np.float64).tiny:
         raise ScalingError("noise segment is silent; cannot set an SNR")
-    with np.errstate(over="ignore"):
-        gain = np.sqrt(clean_power / (noise_power * 10.0 ** (snr_db / 10.0)))
+    try:  # `**` keeps the corpus bits np.power would change, but raises on overflow
+        scale = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        scale = np.inf
+    with np.errstate(over="ignore", divide="ignore"):
+        gain = np.sqrt(clean_power / (noise_power * scale))
     if not np.isfinite(gain):
         raise ScalingError(f"noise segment is too quiet to reach {snr_db:g} dB SNR")
     scaled = segment * gain
@@ -299,6 +303,8 @@ def assign_splits(
     permuted = [ordered[i] for i in rng.permutation(len(ordered))]
     n_test = int(round(test_fraction * len(ordered)))
     n_val = int(round(val_fraction * len(ordered)))
+    if n_test + n_val >= len(ordered):
+        raise ConfigError(f"no voice left for training: {len(ordered)} voices, {n_test} test, {n_val} val")
     assignment = {}
     for i, path in enumerate(permuted):
         if i < n_test:
@@ -460,7 +466,6 @@ class TrainingData:
     targets_lps: np.ndarray
     targets_mfcc: np.ndarray | None
     targets_ibm: np.ndarray | None
-    variant: Variant | None
 
     @property
     def n_rows(self) -> int:
@@ -476,7 +481,7 @@ class TrainingData:
         """The rows picked by an index array or a slice; shares the frame store."""
         blocks = (self.targets_lps, self.targets_mfcc, self.targets_ibm)
         taken = (None if block is None else block[rows] for block in blocks)
-        return TrainingData(self.frames, self.windows[rows], *taken, self.variant)
+        return TrainingData(self.frames, self.windows[rows], *taken)
 
     def targets(self, kind: FeatureKind) -> np.ndarray:
         """The target block a head of the given kind is trained against."""
@@ -547,7 +552,7 @@ def load_training_data(
             blocks[kind][rows] = normalize(block, stats[kind]) if kind in _STATS_FILES else block
         start += n_frames
     # The target fields follow FeatureKind's order: LPS, MFCC, IBM.
-    return TrainingData(frames, windows, *(blocks.get(kind) for kind in FeatureKind), variant)
+    return TrainingData(frames, windows, *(blocks.get(kind) for kind in FeatureKind))
 
 
 def assemble_batches(data: TrainingData, batch_size: int, shuffle_seed: int) -> Iterator[TrainingData]:

@@ -96,10 +96,6 @@ class Spectrogram:
         object.__setattr__(self, "frames", frames)
 
     @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
     def n_bins(self) -> int:
         return self.frames.shape[1]
 
@@ -175,15 +171,6 @@ def magnitude_phase(spec: Spectrogram) -> tuple[np.ndarray, np.ndarray]:
     phase = np.angle(spec.frames)
     phase = np.where(mag == 0.0, 0.0, phase)
     return mag, phase
-
-
-def combine_magnitude_phase(
-    magnitudes: np.ndarray, phases: np.ndarray, config: StftConfig, sample_rate: int
-) -> Spectrogram:
-    """Rebuild a Spectrogram from magnitude.e^{i.phase}."""
-    if magnitudes.shape != phases.shape:
-        raise ValueError(f"shape mismatch: {magnitudes.shape} vs {phases.shape}")
-    return Spectrogram(magnitudes * np.exp(1j * phases), config, sample_rate)
 
 
 def dct_matrix(n: int) -> np.ndarray:

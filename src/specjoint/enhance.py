@@ -18,7 +18,6 @@ from .dsp import (
     Spectrogram,
     StftConfig,
     Waveform,
-    combine_magnitude_phase,
     istft,
     magnitude_phase,
     min_samples,
@@ -107,9 +106,6 @@ def post_process(
     stands. Operates on unnormalized log-power values. Returns the gated
     spectra and how many units took each branch.
     """
-    noisy_lps = np.asarray(noisy_lps)
-    estimated_lps = np.asarray(estimated_lps)
-    mask = np.asarray(mask)
     if not noisy_lps.shape == estimated_lps.shape == mask.shape:
         raise ValueError(
             f"shape mismatch: noisy {noisy_lps.shape}, "
@@ -133,7 +129,6 @@ def oracle_post_process(
     config: PostProcessConfig,
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Gate with the ground-truth binary mask; a ceiling for mask quality."""
-    true_ibm = np.asarray(true_ibm)
     if not np.all((true_ibm == 0.0) | (true_ibm == 1.0)):
         raise ValueError("oracle mask must contain only 0 and 1")
     return post_process(noisy_lps, estimated_lps, true_ibm, config)
@@ -152,11 +147,10 @@ def reconstruct(
     counted rather than renormalized, so level-sensitive metrics stay
     comparable across utterances.
     """
-    data = final_lps.data if isinstance(final_lps, FeatureMatrix) else np.asarray(final_lps)
+    data = final_lps.data if isinstance(final_lps, FeatureMatrix) else final_lps
     if data.shape != phases.shape:
         raise ValueError(f"shape mismatch: lps {data.shape}, phases {phases.shape}")
-    magnitudes = np.exp(data / 2.0)
-    spec = combine_magnitude_phase(magnitudes, phases, stft_config, sample_rate)
+    spec = Spectrogram(np.exp(data / 2.0) * np.exp(1j * phases), stft_config, sample_rate)
     raw = istft(spec, target_len)
     clipped = int(np.count_nonzero((raw.samples < -1.0) | (raw.samples > 1.0)))
     return Waveform(np.clip(raw.samples, -1.0, 1.0), sample_rate), clipped
@@ -199,6 +193,4 @@ def enhance_waveform(
 def write_diagnostics(path: str | Path, result: EnhanceResult) -> None:
     """The result's counters as UTF-8 key=value lines, sorted by key."""
     lines = [f"{key}={value}" for key, value in sorted(result.counters.items())]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -340,10 +340,6 @@ def train(
     gradient set that every step's backward pass overwrites, and, with
     validation rows, the best-validation copy.
     """
-    if train_data.variant != model.variant:
-        raise ValueError(
-            f"data built for variant {train_data.variant.value!r}, model is {model.variant.value!r}"
-        )
     dropout_rng = np.random.default_rng(config.seed + 0x5EED)
     state = _Momentum.zeros_like(model)
     grads = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])

@@ -91,7 +91,6 @@ def write_demo_corpus(
     voice_duration: float = 0.8,
     noise_duration: float = 3.0,
     noise_kinds: tuple[str, ...] = ("white", "pink", "hum"),
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
     seed: int = 0,
 ) -> tuple[list[Path], list[Path]]:
     """Write a small clean/noise WAV tree; returns the two path lists."""
@@ -100,13 +99,13 @@ def write_demo_corpus(
     clean_paths = []
     for i in range(n_voices):
         f0 = float(rng.uniform(110.0, 280.0))
-        voice = harmonic_voice(voice_duration, sample_rate, f0, seed=seed * 1000 + i)
+        voice = harmonic_voice(voice_duration, DEFAULT_SAMPLE_RATE, f0, seed=seed * 1000 + i)
         path = clean_dir / f"voice_{i:02d}.wav"
         write_wav(path, voice)
         clean_paths.append(path)
     noise_paths = []
     for kind in noise_kinds:
-        noise = NOISE_GENERATORS[kind](noise_duration, sample_rate, seed=seed * 7 + len(noise_paths))
+        noise = NOISE_GENERATORS[kind](noise_duration, DEFAULT_SAMPLE_RATE, seed=seed * 7 + len(noise_paths))
         path = noise_dir / f"{kind}.wav"
         write_wav(path, noise)
         noise_paths.append(path)

@@ -122,13 +122,11 @@ def fd_gradient(
     return (plus - minus) / (2.0 * h)
 
 
-def dense_rows(
-    inputs, targets_lps, targets_mfcc=None, targets_ibm=None, variant: Variant | None = None
-) -> TrainingData:
+def dense_rows(inputs, targets_lps, targets_mfcc=None, targets_ibm=None) -> TrainingData:
     """Rows whose input matrix is given whole: each row's window is itself."""
     inputs = np.asarray(inputs)
     windows = np.arange(inputs.shape[0])[:, None]
-    return TrainingData(inputs, windows, targets_lps, targets_mfcc, targets_ibm, variant)
+    return TrainingData(inputs, windows, targets_lps, targets_mfcc, targets_ibm)
 
 
 def random_training_data(
@@ -138,7 +136,6 @@ def random_training_data(
     rng = np.random.default_rng(seed)
     kinds = variant.head_kinds
     return dense_rows(
-        variant=variant,
         inputs=rng.standard_normal((n_rows, input_dim)).astype(np.float32),
         targets_lps=rng.standard_normal((n_rows, lps_dims)).astype(np.float32),
         targets_mfcc=(
@@ -217,7 +214,6 @@ def materialised_training_data(
         if want_ibm:
             t_ibm.append(container.read_features(feature_path(features_dir, uid, "ibm")).data)
     return dense_rows(
-        variant=variant,
         inputs=np.vstack(inputs).astype(np.float32),
         targets_lps=np.vstack(t_lps).astype(np.float32),
         targets_mfcc=np.vstack(t_mfcc).astype(np.float32) if want_mfcc else None,

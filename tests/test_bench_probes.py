@@ -90,6 +90,7 @@ def test_train_and_enhance_reach_the_traced_input_layers(tmp_path, monkeypatch):
     builds = counting(monkeypatch, enhance, "build_input_rows")
     stats = {FeatureKind.LPS: NormStats(np.zeros(5), np.ones(5))}
     entry = MixSpec(Path("c.wav"), Path("n.wav"), 0.0, 0, "train")
+    (tmp_path / FEATURES_DIR).mkdir()
     for name in ("noisy_lps", "clean_lps"):
         path = feature_path(tmp_path / FEATURES_DIR, entry.utterance_id, name)
         write_features(path, FeatureMatrix(np.zeros((8, 5)), FeatureKind.LPS))

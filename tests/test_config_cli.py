@@ -412,6 +412,41 @@ class TestPrepare:
         assert_one_line_error(result, repr(clash))
         assert not out.exists()
 
+    def test_no_training_voice_fails_in_one_line(self, env, tmp_path):
+        # Of 3 voices, round(1.5) = 2 go to test and round(0.9) = 1 to val.
+        clean_dir, out = tmp_path / "clean", tmp_path / "out"
+        for i in range(3):
+            write_wav(clean_dir / f"v{i}.wav", harmonic_voice(0.6, 16000, seed=i))
+        (tmp_path / "run.cfg").write_text("split.val_fraction = 0.3\nsplit.test_fraction = 0.5\n")
+        result = run_child(
+            "prepare", "--config", str(tmp_path / "run.cfg"), str(clean_dir), str(env["noise_dir"]), str(out),
+        )
+        assert_one_line_error(result, "no voice left for training: 3 voices, 2 test, 1 val")
+        assert not out.exists()
+
+    def test_snr_past_the_float_range_mixes_the_clean_voice(self, env, tmp_path):
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text("snr.grid = 4000\n")
+        result = run_child(
+            "prepare", "--config", str(tmp_path / "run.cfg"),
+            str(env["clean_dir"]), str(env["noise_dir"]), str(out),
+        )
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        for entry in read_manifest(out / "manifest.tsv"):
+            noisy = read_wav(out / "noisy" / f"{entry.utterance_id}.wav")
+            assert np.array_equal(noisy.samples, read_wav(entry.clean_path).samples)
+
+    def test_snr_below_the_float_range_fails_in_one_line(self, env, tmp_path):
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text("snr.grid = -4000\n")
+        result = run_child(
+            "prepare", "--config", str(tmp_path / "run.cfg"),
+            str(env["clean_dir"]), str(env["noise_dir"]), str(out),
+        )
+        assert_one_line_error(result, "too quiet to reach -4000 dB SNR")
+        assert not out.exists()
+
     def test_out_dir_that_is_a_file_fails_in_one_line(self, env, tmp_path):
         out = tmp_path / "corpus"
         out.write_text("kept")

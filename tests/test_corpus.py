@@ -119,6 +119,19 @@ class TestMixAtSnr:
             with pytest.raises(ScalingError, match="too quiet to reach -10 dB"):
                 mix_at_snr(wave([1.0]), wave([2e-154]), -10.0, 0)
 
+    def test_snr_past_the_float_range_scales_noise_to_zero(self):
+        # 10.0 ** 400.0 overflows a Python float.
+        clean = wave([0.5, -0.5, 0.25])
+        noisy, scaled = mix_at_snr(clean, wave([0.5, 0.5, -0.5]), 4000.0, 0)
+        assert not scaled.samples.any()
+        assert np.array_equal(noisy.samples, clean.samples)
+
+    def test_snr_below_the_float_range_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScalingError, match="too quiet to reach -4000 dB"):
+                mix_at_snr(wave([0.5, -0.5]), wave([0.5, 0.5]), -4000.0, 0)
+
     @settings(max_examples=200)
     @given(
         st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=48).filter(any),
@@ -413,7 +426,6 @@ class TestBatches:
     def data(self, n=10):
         inputs = np.arange(n, dtype=np.float32)[:, None] * np.ones((1, 3), np.float32)
         return dense_rows(
-            variant=Variant.IBM,
             inputs=inputs,
             targets_lps=inputs * 10.0,
             targets_mfcc=None,
@@ -429,7 +441,7 @@ class TestBatches:
         by_slice, by_index = data.take(slice(2, 6)), data.take(np.arange(2, 6))
         for name in ("inputs", "targets_lps", "targets_ibm"):
             assert np.array_equal(getattr(by_slice, name), getattr(by_index, name))
-        assert by_slice.targets_mfcc is None and by_slice.variant == Variant.IBM
+        assert by_slice.targets_mfcc is None
         with pytest.raises(ValueError, match="no cepstral targets"):
             by_slice.targets(FeatureKind.MFCC)
 
@@ -565,7 +577,7 @@ class TestBuildCorpus:
         _, out_dir, entries = corpus
         stats = read_corpus_stats(out_dir)
         data = load_training_data(out_dir, entries, Variant.BASELINE, stats)
-        n_frames = stft(wave(np.zeros(int(0.3 * 16000))), StftConfig()).n_frames
+        n_frames = stft(wave(np.zeros(int(0.3 * 16000))), StftConfig()).frames.shape[0]
         assert data.n_rows == n_frames * len(entries)
         assert data.inputs.shape[1] == input_dim(Variant.BASELINE, 257, 41, 3)
         assert data.targets_lps.shape == (data.n_rows, 257)
@@ -712,6 +724,7 @@ def write_feature_corpus(root, lengths, lps_dims, mfcc_dims, seed):
     """Random feature containers for one utterance per length, and stats for them."""
     rng = np.random.default_rng(seed)
     features_dir = root / corpus_mod.FEATURES_DIR
+    features_dir.mkdir()
     entries = []
     for i, n in enumerate(lengths):
         entry = MixSpec(Path(f"c{i}.wav"), Path("noise.wav"), 0.0, 0, "train")
@@ -760,7 +773,7 @@ class TestLoadTrainingData:
         n = sum(lengths)
         picks = draw.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
         start, stop = sorted(draw.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
-        assert got.n_rows == n and got.variant == variant
+        assert got.n_rows == n
         for rows in (slice(None), np.array(picks, dtype=np.intp), slice(start, stop)):
             a, b = got.take(rows), want.take(rows)
             for name in ("inputs", "targets_lps", "targets_mfcc", "targets_ibm"):
@@ -814,6 +827,11 @@ class TestAssignSplits:
         a = assign_splits(paths, 0.2, 0.3, seed=4)
         b = assign_splits(list(reversed(paths)), 0.2, 0.3, seed=4)
         assert a == b
+
+    def test_rejects_a_split_with_no_training_voice(self):
+        paths = [Path(f"{i}.wav") for i in range(3)]
+        with pytest.raises(ConfigError, match="no voice left for training: 3 voices, 2 test, 1 val"):
+            assign_splits(paths, val_fraction=0.3, test_fraction=0.5, seed=0)
 
     def test_rejects_bad_fractions(self):
         with pytest.raises(ConfigError, match="sum to < 1"):

@@ -255,12 +255,12 @@ class TestEnhanceWaveform:
         model = copying_model(Variant.IBM, with_mask=True)
         result = enhance_waveform(model, noisy, SMALL, post=PostProcessConfig())
         _, mask, spec, _ = enhance_features(model, noisy, SMALL)
-        assert mask.data.shape == (spec.n_frames, BINS)
+        assert mask.data.shape == (spec.frames.shape[0], BINS)
         counters = result.counters
-        assert counters["n_frames"] == spec.n_frames
+        assert counters["n_frames"] == spec.frames.shape[0]
         assert counters["n_bins"] == BINS
         gate = [counters[key] for key in ("kept_noisy", "averaged", "kept_estimate")]
-        assert sum(gate) == spec.n_frames * BINS
+        assert sum(gate) == spec.frames.shape[0] * BINS
 
     def test_mask_of_zeros_equals_disabled_gate(self):
         # The copying model's mask head outputs all zeros, so every bin takes
@@ -313,7 +313,7 @@ class TestEnhanceWaveform:
             model, speech_like, stft_config, bank=bank, post=PostProcessConfig()
         )
         assert len(result.enhanced) == len(speech_like)
-        assert (result.counters["n_frames"], result.counters["n_bins"]) == (spec.n_frames, 257)
+        assert (result.counters["n_frames"], result.counters["n_bins"]) == (spec.frames.shape[0], 257)
 
 
 class TestDiagnosticsFile:
@@ -322,6 +322,7 @@ class TestDiagnosticsFile:
         model = copying_model(Variant.IBM, with_mask=True)
         result = enhance_waveform(model, noisy, SMALL, post=PostProcessConfig())
         path = tmp_path / "sub" / "utt.diag.txt"
+        path.parent.mkdir()
         write_diagnostics(path, result)
         lines = path.read_text().splitlines()
         keys = [line.split("=", 1)[0] for line in lines]

@@ -521,10 +521,21 @@ class TestTrain:
         recomputed = _dataset_loss(model, val, config.alpha, config.beta)
         assert recomputed["total"] == min(h.val["total"] for h in history)
 
-    def test_variant_mismatch_rejected(self):
-        model = tiny_model(Variant.BASELINE)
-        with pytest.raises(ValueError, match="data built for variant"):
-            train(model, tiny_data(Variant.IBM), TrainConfig(epochs=1))
+    def test_rows_of_another_variant_train_as_their_own_or_fail(self, tmp_path):
+        # The two draws share inputs and LPS/MFCC targets; mfcc+ibm adds mask targets.
+        width = input_dim(Variant.MFCC, LPS_DIMS, MFCC_DIMS, 3)
+        config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=5)
+        for variant in (Variant.MFCC, Variant.MFCC_IBM):
+            model = corpus_model(Variant.MFCC, seed=5)
+            train(model, random_training_data(variant, 24, width, LPS_DIMS, MFCC_DIMS, 5), config)
+            save_model(tmp_path / f"{variant.name}.sjnn", model)
+        assert (tmp_path / "MFCC.sjnn").read_bytes() == (tmp_path / "MFCC_IBM.sjnn").read_bytes()
+        baseline_width = input_dim(Variant.BASELINE, LPS_DIMS, MFCC_DIMS, 3)
+        baseline = random_training_data(Variant.BASELINE, 24, baseline_width, LPS_DIMS, MFCC_DIMS, 5)
+        with pytest.raises(ValueError, match="rows have no mask targets"):
+            train(corpus_model(Variant.IBM), baseline, config)
+        with pytest.raises(ValueError, match="input dim mismatch"):
+            train(corpus_model(Variant.MFCC), baseline, config)
 
     def test_validation_reported(self):
         model = tiny_model(seed=6)
