@@ -1,22 +1,25 @@
 """Paired noisy/clean corpus construction, normalization, and batching.
 
 A corpus directory is the unit of reproducibility: a text manifest listing
-(clean path, noise path, SNR, noise offset, split), per-utterance feature
-containers, global normalization statistics fitted on the noisy training
-features, and the mixed noisy waveforms.
+(clean path, noise path, SNR, noise offset, split), feature containers,
+global normalization statistics fitted on the noisy training features, and
+the mixed noisy waveforms. The clean LPS and MFCC targets depend on the
+voice alone, so they are computed and stored once per voice; the noisy
+inputs and the mask depend on the noise too, so they are stored once per
+mixture.
 """
 
 import contextlib
 import enum
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import container
-from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, Waveform, stft
+from .dsp import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, stft
 from .errors import ConfigError, FormatError, ScalingError
 from .features import (
     DEFAULT_CONTEXT,
@@ -45,16 +48,13 @@ FEATURES_DIR = "features"
 NOISY_DIR = "noisy"
 STATS_DIR = "stats"
 
-# Per-utterance feature containers: (role, kind held) -> file name, in write
-# order. An input file feeds the network's input rows and its kind's
-# statistics; a target file is what the head of its kind is trained against.
-_FEATURE_FILES = {
-    ("input", FeatureKind.LPS): "noisy_lps",
-    ("input", FeatureKind.MFCC): "noisy_mfcc",
-    ("target", FeatureKind.LPS): "clean_lps",
-    ("target", FeatureKind.MFCC): "clean_mfcc",
-    ("target", FeatureKind.IBM): "ibm",
-}
+# Feature containers by the kind they hold. An input file feeds the network's
+# input rows and its kind's statistics; a clean file, one per voice, is what
+# the head of its kind is trained against; the mask file, one per mixture, is
+# the mask head's target.
+_INPUT_FILES = {FeatureKind.LPS: "noisy_lps", FeatureKind.MFCC: "noisy_mfcc"}
+_CLEAN_FILES = {FeatureKind.LPS: "clean_lps", FeatureKind.MFCC: "clean_mfcc"}
+_MASK_FILE = "ibm"
 
 # Statistics container of each input kind, fitted on the train split.
 _STATS_FILES = {FeatureKind.LPS: "lps.sjfm", FeatureKind.MFCC: "mfcc.sjfm"}
@@ -109,8 +109,13 @@ class MixSpec:
             raise ValueError("snr_db must be finite")
 
     @property
+    def voice_id(self) -> str:
+        """Names the clean voice's own feature files."""
+        return self.clean_path.stem
+
+    @property
     def utterance_id(self) -> str:
-        return f"{self.clean_path.stem}__{self.noise_path.stem}__snr{self.snr_db:g}dB"
+        return f"{self.voice_id}__{self.noise_path.stem}__snr{self.snr_db:g}dB"
 
 
 @dataclass(frozen=True)
@@ -265,6 +270,7 @@ def read_manifest(path: str | Path) -> list[MixSpec]:
 
 def extract_mixture_features(
     clean: Waveform,
+    clean_spec: Spectrogram,
     noise: Waveform,
     snr_db: float,
     noise_offset: int,
@@ -272,24 +278,26 @@ def extract_mixture_features(
     bank: MelBank,
     ibm_config: IbmConfig,
 ) -> tuple[Waveform, dict[str, FeatureMatrix]]:
-    """Mix one pair; return the noisy waveform and each feature file's matrix, from aligned parts."""
+    """Mix one pair; return the noisy waveform and each per-mixture file's matrix.
+
+    clean_spec is stft(clean), the voice's spectrogram that every one of its
+    mixtures shares; the mask compares it with the scaled noise's.
+    """
     noisy, scaled_noise = mix_at_snr(clean, noise, snr_db, noise_offset)
     noisy_spec = stft(noisy, stft_config)
-    clean_spec = stft(clean, stft_config)
     noise_spec = stft(scaled_noise, stft_config)
     return noisy, {
-        "noisy_lps": lps(noisy_spec),
-        "noisy_mfcc": mfcc(noisy_spec, bank),
-        "clean_lps": lps(clean_spec),
-        "clean_mfcc": mfcc(clean_spec, bank),
-        "ibm": compute_ibm(clean_spec, noise_spec, ibm_config),
+        _INPUT_FILES[FeatureKind.LPS]: lps(noisy_spec),
+        _INPUT_FILES[FeatureKind.MFCC]: mfcc(noisy_spec, bank),
+        _MASK_FILE: compute_ibm(clean_spec, noise_spec, ibm_config),
     }
 
 
-def feature_path(features_dir: str | Path, utterance_id: str, name: str) -> Path:
-    if name not in _FEATURE_FILES.values():
+def feature_path(features_dir: str | Path, file_id: str, name: str) -> Path:
+    """A clean file is named by its voice id, any other by its utterance id."""
+    if name not in (*_INPUT_FILES.values(), *_CLEAN_FILES.values(), _MASK_FILE):
         raise ValueError(f"unknown feature name {name!r}")
-    return Path(features_dir) / f"{utterance_id}.{name}.sjfm"
+    return Path(features_dir) / f"{file_id}.{name}.sjfm"
 
 
 def assign_splits(
@@ -331,10 +339,12 @@ def build_corpus(
 ) -> list[MixSpec]:
     """Mix every clean x noise x SNR combination and write the corpus directory.
 
-    Writes the manifest, per-utterance feature containers, noisy waveforms,
-    and normalization statistics fitted on the noisy train-split features
-    only. Deterministic for a fixed seed. Two mixtures that would share an
-    utterance id are a ConfigError before anything is written. A call that
+    Writes the manifest; per voice, its clean LPS and MFCC containers, from
+    one STFT of the voice; per mixture, its noisy LPS, noisy MFCC and mask
+    containers and its noisy waveform; and normalization statistics fitted
+    on the noisy train-split features only. Deterministic for a fixed seed.
+    Two mixtures that would share an utterance id are a ConfigError before
+    anything is written. A call that
     fails part-way removes the directories it made and every file it began
     to write, same-named files of an earlier corpus included. Other files
     stay, among them an earlier manifest unless writing the new one failed.
@@ -370,12 +380,18 @@ def build_corpus(
     written: list[Path] = []  # listed before each write, so a partial file goes too
     try:
         sums = {kind: _StreamingStats() for kind in _STATS_FILES}
-        for clean_path, mixtures in itertools.groupby(entries.values(), key=lambda e: e.clean_path):
+        voices = itertools.groupby(entries.values(), key=lambda e: (e.clean_path, e.voice_id))
+        for (clean_path, voice_id), mixtures in voices:
             clean = read_wav(clean_path, expected_rate=sample_rate)
+            clean_spec = stft(clean, stft_config)
+            targets = {FeatureKind.LPS: lps(clean_spec), FeatureKind.MFCC: mfcc(clean_spec, bank)}
+            for kind, name in _CLEAN_FILES.items():
+                written.append(feature_path(features_dir, voice_id, name))
+                container.write_features(written[-1], targets[kind])
             for entry in mixtures:
                 try:
                     noisy, features = extract_mixture_features(
-                        clean, noises[entry.noise_path], entry.snr_db, entry.noise_offset,
+                        clean, clean_spec, noises[entry.noise_path], entry.snr_db, entry.noise_offset,
                         stft_config, bank, ibm_config,
                     )
                 except ScalingError as exc:
@@ -383,14 +399,14 @@ def build_corpus(
                         f"{clean_path} with {entry.noise_path} at offset {entry.noise_offset}: {exc}"
                     ) from exc
                 uid = entry.utterance_id
-                for name in _FEATURE_FILES.values():
+                for name, matrix in features.items():
                     written.append(feature_path(features_dir, uid, name))
-                    container.write_features(written[-1], features[name])
+                    container.write_features(written[-1], matrix)
                 written.append(noisy_dir / f"{uid}.wav")
                 write_wav(written[-1], noisy)
                 if entry.split == "train":
                     for kind, total in sums.items():
-                        total.add(features[_FEATURE_FILES["input", kind]].data)
+                        total.add(features[_INPUT_FILES[kind]].data)
 
         for kind, name in _STATS_FILES.items():
             written.append(stats_dir / name)
@@ -457,14 +473,18 @@ class TrainingData:
     """Row-aligned inputs and targets: a whole split, or rows taken from one.
 
     `frames` holds each distinct feature row once, and row i of `windows`
-    lists the rows of `frames` that input row i concatenates; `inputs`
-    gathers them on demand, so no spliced matrix is held.
+    lists the rows of `frames` that input row i concatenates. The clean
+    targets depend on the voice alone: `clean_lps` and `clean_mfcc` hold
+    each voice's frames once, and row i's targets are their row
+    `clean_rows[i]`. `inputs`, `targets_lps` and `targets_mfcc` gather on
+    demand, so no spliced matrix and no per-row copy of a voice is held.
     """
 
     frames: np.ndarray
     windows: np.ndarray
-    targets_lps: np.ndarray
-    targets_mfcc: np.ndarray | None
+    clean_lps: np.ndarray
+    clean_mfcc: np.ndarray | None
+    clean_rows: np.ndarray
     targets_ibm: np.ndarray | None
 
     @property
@@ -477,15 +497,24 @@ class TrainingData:
         width = self.windows.shape[1] * self.frames.shape[1]
         return self.frames[self.windows].reshape(self.n_rows, width)
 
+    @property
+    def targets_lps(self) -> np.ndarray:
+        return self.clean_lps[self.clean_rows]
+
+    @property
+    def targets_mfcc(self) -> np.ndarray | None:
+        return None if self.clean_mfcc is None else self.clean_mfcc[self.clean_rows]
+
     def take(self, rows) -> "TrainingData":
-        """The rows picked by an index array or a slice; shares the frame store."""
-        blocks = (self.targets_lps, self.targets_mfcc, self.targets_ibm)
-        taken = (None if block is None else block[rows] for block in blocks)
-        return TrainingData(self.frames, self.windows[rows], *taken)
+        """The rows picked by an index array or a slice; shares the frame and clean stores."""
+        ibm = None if self.targets_ibm is None else self.targets_ibm[rows]
+        return replace(self, windows=self.windows[rows], clean_rows=self.clean_rows[rows], targets_ibm=ibm)
 
     def targets(self, kind: FeatureKind) -> np.ndarray:
         """The target block a head of the given kind is trained against."""
-        block = (self.targets_lps, self.targets_mfcc, self.targets_ibm)[kind]  # kinds are 0, 1, 2
+        if kind == FeatureKind.LPS:
+            return self.targets_lps
+        block = self.targets_mfcc if kind == FeatureKind.MFCC else self.targets_ibm
         if block is None:
             raise ValueError(f"rows have no {'cepstral' if kind == FeatureKind.MFCC else 'mask'} targets")
         return block
@@ -502,16 +531,20 @@ def load_training_data(
     """Read the given manifest entries into float32 frames, windows and targets.
 
     The frame store lays each utterance's build_input_rows store end to end,
-    and offsets its windows to match. Targets of a kind with statistics are
-    normalized with the noisy-data statistics; mask targets stay raw {0, 1}.
-    Every array is allocated once, sized from the container headers.
+    and offsets its windows to match. The clean stores lay each voice's
+    targets end to end, in the order the voices first appear, read once
+    however many of its mixtures are given. Clean targets are normalized
+    with the noisy-data statistics of their kind; mask targets stay raw
+    {0, 1}. Every array is allocated once, sized from the container headers.
     """
     features_dir = Path(corpus_dir) / FEATURES_DIR
     dims = {kind: s.dims for kind, s in stats.items()}
     frame_dims, head_dims = feature_widths(variant, dims[FeatureKind.LPS], dims.get(FeatureKind.MFCC, 0))
-    inputs = {kind: _FEATURE_FILES["input", kind] for kind in variant.input_kinds}
-    targets = {kind: _FEATURE_FILES["target", kind] for kind in variant.head_kinds}
+    inputs = {kind: _INPUT_FILES[kind] for kind in variant.input_kinds}
+    cleans = {kind: _CLEAN_FILES[kind] for kind in variant.head_kinds if kind in _CLEAN_FILES}
     lengths = []
+    voices: dict[str, tuple[int, int]] = {}  # voice id -> (first row in the clean stores, frames)
+    n_clean = 0
     for entry in entries:
         path = feature_path(features_dir, entry.utterance_id, inputs[FeatureKind.LPS])
         n_frames, _ = container.read_shape(path)
@@ -521,38 +554,54 @@ def load_training_data(
                 f"needs at least {noise_aware_frames}"
             )
         lengths.append(n_frames)
+        target = feature_path(features_dir, entry.voice_id, _CLEAN_FILES[FeatureKind.LPS])
+        if entry.voice_id not in voices:
+            voices[entry.voice_id] = (n_clean, container.read_shape(target)[0])
+            n_clean += voices[entry.voice_id][1]
+        _, voice_frames = voices[entry.voice_id]
+        if voice_frames != n_frames:
+            raise FormatError(f"{target}: {voice_frames} frames, the noisy LPS has {n_frames}")
     n_rows = sum(lengths)
     frames = np.empty((n_rows + len(entries), frame_dims), dtype=np.float32)
     windows = np.empty((n_rows, 2 * tau + 2), dtype=np.intp)
-    blocks = {kind: np.empty((n_rows, width), dtype=np.float32) for kind, width in head_dims.items()}
+    clean_rows = np.empty(n_rows, dtype=np.intp)
+    clean = {kind: np.empty((n_clean, head_dims[kind]), dtype=np.float32) for kind in cleans}
+    ibm = np.empty((n_rows, head_dims[FeatureKind.IBM]), np.float32) if FeatureKind.IBM in head_dims else None
+
+    def read(path: Path, kind: FeatureKind, n_frames: int, width: int) -> np.ndarray:
+        block = container.read_features(path)
+        if block.n_frames != n_frames:
+            raise FormatError(f"{path}: {block.n_frames} frames, the noisy LPS has {n_frames}")
+        if (block.kind, block.dims) != (kind, width):
+            raise FormatError(f"{path}: {block.dims} {block.kind.name} columns, expected {width} {kind.name}")
+        return block.data
+
     start = 0
     for u, (entry, n_frames) in enumerate(zip(entries, lengths)):
         rows = slice(start, start + n_frames)
         store = start + u  # each utterance before this one added a noise row
-
-        def read(kind: FeatureKind, name: str, width: int) -> np.ndarray:
-            path = feature_path(features_dir, entry.utterance_id, name)
-            block = container.read_features(path)
-            if block.n_frames != n_frames:
-                raise FormatError(f"{path}: {block.n_frames} frames, the noisy LPS has {n_frames}")
-            if (block.kind, block.dims) != (kind, width):
-                raise FormatError(
-                    f"{path}: {block.dims} {block.kind.name} columns, expected {width} {kind.name}"
-                )
-            return block.data
-
-        noisy = {kind: read(kind, name, dims[kind]) for kind, name in inputs.items()}
+        noisy = {
+            kind: read(feature_path(features_dir, entry.utterance_id, name), kind, n_frames, dims[kind])
+            for kind, name in inputs.items()
+        }
         utt_frames, utt_windows = build_input_rows(
             noisy[FeatureKind.LPS], noisy.get(FeatureKind.MFCC), stats, tau, noise_aware_frames
         )
         frames[store : store + n_frames + 1] = utt_frames
         np.add(utt_windows, store, out=windows[rows])
-        for kind, name in targets.items():
-            block = read(kind, name, head_dims[kind])
-            blocks[kind][rows] = normalize(block, stats[kind]) if kind in _STATS_FILES else block
+        first = voices[entry.voice_id][0]
+        clean_rows[rows] = np.arange(first, first + n_frames)
+        if ibm is not None:
+            path = feature_path(features_dir, entry.utterance_id, _MASK_FILE)
+            ibm[rows] = read(path, FeatureKind.IBM, n_frames, head_dims[FeatureKind.IBM])
         start += n_frames
-    # The target fields follow FeatureKind's order: LPS, MFCC, IBM.
-    return TrainingData(frames, windows, *(blocks.get(kind) for kind in FeatureKind))
+    for voice_id, (first, n_frames) in voices.items():
+        for kind, name in cleans.items():
+            block = read(feature_path(features_dir, voice_id, name), kind, n_frames, head_dims[kind])
+            clean[kind][first : first + n_frames] = normalize(block, stats[kind])
+    return TrainingData(
+        frames, windows, clean[FeatureKind.LPS], clean.get(FeatureKind.MFCC), clean_rows, ibm
+    )
 
 
 def assemble_batches(data: TrainingData, batch_size: int, shuffle_seed: int) -> Iterator[TrainingData]:

@@ -70,9 +70,11 @@ def mel_to_hz(m):
 
 @dataclass(frozen=True)
 class MelBank:
-    """Triangular mel filters evaluated at the one-sided FFT bin frequencies."""
+    """Triangular mel filters evaluated at the one-sided FFT bin frequencies,
+    and the DCT-II matrix that turns their log powers into cepstra."""
 
     filters: np.ndarray
+    dct: np.ndarray
 
 
 def mel_bank(
@@ -103,7 +105,7 @@ def mel_bank(
                 f"mel filter {i} has no positive entry; too many filters for "
                 f"fft_size={fft_size} at {sample_rate} Hz"
             )
-    return MelBank(filters)
+    return MelBank(filters, dct_matrix(n_mels))
 
 
 def lps(spec: Spectrogram) -> FeatureMatrix:
@@ -126,7 +128,7 @@ def mfcc(spec: Spectrogram, bank: MelBank) -> FeatureMatrix:
     power = np.abs(spec.frames) ** 2
     mel_power = power @ bank.filters.T
     log_mel = np.log(np.maximum(mel_power, POWER_FLOOR))
-    coeffs = log_mel @ dct_matrix(bank.filters.shape[0]).T
+    coeffs = log_mel @ bank.dct.T
     # One-sided Parseval: interior bins count twice, DC and Nyquist once.
     fft_size = spec.config.fft_size
     frame_power = (2.0 * power.sum(axis=1) - power[:, 0] - power[:, -1]) / fft_size

@@ -125,8 +125,8 @@ def fd_gradient(
 def dense_rows(inputs, targets_lps, targets_mfcc=None, targets_ibm=None) -> TrainingData:
     """Rows whose input matrix is given whole: each row's window is itself."""
     inputs = np.asarray(inputs)
-    windows = np.arange(inputs.shape[0])[:, None]
-    return TrainingData(inputs, windows, targets_lps, targets_mfcc, targets_ibm)
+    rows = np.arange(inputs.shape[0])
+    return TrainingData(inputs, rows[:, None], targets_lps, targets_mfcc, rows, targets_ibm)
 
 
 def random_training_data(
@@ -194,7 +194,8 @@ def materialised_training_data(
     corpus_dir, entries, variant: Variant, stats: dict, tau: int, noise_aware_frames: int
 ) -> TrainingData:
     """Every utterance's rows built by spliced_input_rows, stacked in float64
-    and then cast to float32."""
+    and then cast to float32; each row's clean targets are read from its
+    voice's files, once per row."""
     features_dir = Path(corpus_dir) / FEATURES_DIR
     want_mfcc = FeatureKind.MFCC in variant.head_kinds
     want_ibm = FeatureKind.IBM in variant.head_kinds
@@ -206,10 +207,11 @@ def materialised_training_data(
         if FeatureKind.MFCC in variant.input_kinds:
             noisy_mfcc = container.read_features(feature_path(features_dir, uid, "noisy_mfcc")).data
         inputs.append(spliced_input_rows(noisy_lps, noisy_mfcc, stats, tau, noise_aware_frames))
-        clean_lps = container.read_features(feature_path(features_dir, uid, "clean_lps"))
+        voice = entry.clean_path.stem
+        clean_lps = container.read_features(feature_path(features_dir, voice, "clean_lps"))
         t_lps.append(normalize(clean_lps.data, stats[FeatureKind.LPS]))
         if want_mfcc:
-            clean_mfcc = container.read_features(feature_path(features_dir, uid, "clean_mfcc"))
+            clean_mfcc = container.read_features(feature_path(features_dir, voice, "clean_mfcc"))
             t_mfcc.append(normalize(clean_mfcc.data, stats[FeatureKind.MFCC]))
         if want_ibm:
             t_ibm.append(container.read_features(feature_path(features_dir, uid, "ibm")).data)

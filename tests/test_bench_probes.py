@@ -91,8 +91,8 @@ def test_train_and_enhance_reach_the_traced_input_layers(tmp_path, monkeypatch):
     stats = {FeatureKind.LPS: NormStats(np.zeros(5), np.ones(5))}
     entry = MixSpec(Path("c.wav"), Path("n.wav"), 0.0, 0, "train")
     (tmp_path / FEATURES_DIR).mkdir()
-    for name in ("noisy_lps", "clean_lps"):
-        path = feature_path(tmp_path / FEATURES_DIR, entry.utterance_id, name)
+    for file_id, name in ((entry.utterance_id, "noisy_lps"), (entry.voice_id, "clean_lps")):
+        path = feature_path(tmp_path / FEATURES_DIR, file_id, name)
         write_features(path, FeatureMatrix(np.zeros((8, 5)), FeatureKind.LPS))
     data = load_training_data(tmp_path, [entry], Variant.BASELINE, stats, 1, 2)
     assert data.n_rows == 8 and splices

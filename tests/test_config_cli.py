@@ -280,7 +280,8 @@ class TestPrepare:
         assert len(entries) == 2 * 1 * 6  # clean x noise x snr grid
         assert (env["corpus"] / "effective-config.txt").exists()
         assert len(list((env["corpus"] / "noisy").glob("*.wav"))) == 12
-        assert len(list((env["corpus"] / "features").glob("*.sjfm"))) == 12 * 5
+        # Per mixture noisy LPS, noisy MFCC and mask; per voice clean LPS and MFCC.
+        assert len(list((env["corpus"] / "features").glob("*.sjfm"))) == 12 * 3 + 2 * 2
 
     def test_rerun_is_byte_identical(self, env, tmp_path):
         again = tmp_path / "corpus2"
@@ -713,12 +714,32 @@ class TestMalformedCorpus:
         corpus = tmp_path / "corpus"
         shutil.copytree(env["corpus"], corpus)
         entry = next(e for e in read_manifest(corpus / "manifest.tsv") if e.split == "train")
-        target = corpus / "features" / f"{entry.utterance_id}.clean_lps.sjfm"
+        target = corpus / "features" / f"{entry.clean_path.stem}.clean_lps.sjfm"
         write_features(target, FeatureMatrix(read_features(target).data[:, :100], FeatureKind.LPS))
         result = run_child("train", "--config", str(env["config"]), str(corpus), str(tmp_path / "m.sjnn"))
         assert result.returncode == 1 and "Traceback" not in result.stderr
         errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {target}: 100 LPS columns, expected 257 LPS"], result.stderr
+        assert not (tmp_path / "m.sjnn").exists()
+
+    def test_corpus_with_per_mixture_clean_targets(self, env, tmp_path):
+        # The earlier layout: clean targets once per mixture, none per voice.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(env["corpus"], corpus)
+        entries = read_manifest(corpus / "manifest.tsv")
+        features = corpus / "features"
+        for entry in entries:
+            for name in ("clean_lps", "clean_mfcc"):
+                voice_file = features / f"{entry.clean_path.stem}.{name}.sjfm"
+                shutil.copy(voice_file, features / f"{entry.utterance_id}.{name}.sjfm")
+        for voice_file in features.glob("v?.clean_*.sjfm"):
+            voice_file.unlink()
+        first = next(e for e in entries if e.split == "train")
+        missing = features / f"{first.clean_path.stem}.clean_lps.sjfm"
+        result = run_child("train", "--config", str(env["config"]), str(corpus), str(tmp_path / "m.sjnn"))
+        assert result.returncode == 1 and "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(missing) in errors[0], result.stderr
         assert not (tmp_path / "m.sjnn").exists()
 
     @pytest.mark.parametrize(

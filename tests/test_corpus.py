@@ -521,11 +521,52 @@ class TestBuildCorpus:
 
     def test_feature_files_written(self, corpus):
         _, out_dir, entries = corpus
-        names = ["noisy_lps", "noisy_mfcc", "clean_lps", "clean_mfcc", "ibm"]
+        want = set()
         for e in entries:
-            for name in names:
-                assert (out_dir / "features" / f"{e.utterance_id}.{name}.sjfm").exists()
+            want |= {f"{e.utterance_id}.{name}.sjfm" for name in ("noisy_lps", "noisy_mfcc", "ibm")}
+            want |= {f"{e.clean_path.stem}.{name}.sjfm" for name in ("clean_lps", "clean_mfcc")}
             assert (out_dir / "noisy" / f"{e.utterance_id}.wav").exists()
+        assert {path.name for path in (out_dir / "features").iterdir()} == want
+        assert len(want) == 3 * len(entries) + 2 * 2  # two voices
+
+    def test_clean_targets_computed_and_written_once_per_voice(self, corpus, tmp_path, monkeypatch):
+        root, out_dir, entries = corpus
+        stfts = []
+        real_stft, real_write = corpus_mod.stft, corpus_mod.container.write_features
+
+        def counting_stft(*args):
+            stfts.append(args)
+            return real_stft(*args)
+
+        written = []
+
+        def recording_write(path, features):
+            written.append(Path(path).name)
+            real_write(path, features)
+
+        monkeypatch.setattr(corpus_mod, "stft", counting_stft)
+        monkeypatch.setattr(corpus_mod.container, "write_features", recording_write)
+        build_corpus(
+            sorted((root / "clean").glob("*.wav")),
+            sorted((root / "noise").glob("*.wav")),
+            tmp_path / "again",
+            StftConfig(),
+            mel_bank(),
+            IbmConfig(),
+            snr_grid=(10.0, 0.0),
+            val_fraction=0.0,
+            test_fraction=0.5,
+            seed=7,
+        )
+        # One STFT per voice, and the noisy mixture's and scaled noise's per mixture.
+        assert len(stfts) == 2 + 2 * len(entries)
+        features = [name for name in written if not name.startswith(("lps.", "mfcc."))]
+        assert len(features) == len(set(features))
+        assert sorted(features) == sorted(path.name for path in (out_dir / "features").iterdir())
+        for voice in ("v0", "v1"):
+            assert [n for n in features if n.startswith(f"{voice}.")] == [
+                f"{voice}.clean_lps.sjfm", f"{voice}.clean_mfcc.sjfm"
+            ]
 
     def test_stats_fitted_on_train_noisy(self, corpus):
         from specjoint import read_features
@@ -597,16 +638,20 @@ class TestBuildCorpus:
         "failing, call",
         [
             ("extract_mixture_features", 3),
+            ("stft", 6),
+            ("mfcc", 4),
             ("write_wav", 2),
             ("write_norm_stats", 2),
             ("write_manifest", 1),
         ],
     )
     def test_failure_removes_only_what_it_wrote(self, corpus, tmp_path, monkeypatch, failing, call):
-        # The third mixture fails after two were written; the second noisy
-        # WAV after a whole mixture and the second's feature files were; the
-        # MFCC stats after the LPS stats were; or the manifest after
-        # everything else was.
+        # Each voice has two mixtures. The third mixture fails after the first
+        # voice and the second voice's clean files were written; the second
+        # voice's STFT after the whole first voice was; its clean MFCC after
+        # its clean LPS was; the second noisy WAV after a whole mixture and
+        # the second's feature files were; the MFCC stats after the LPS stats
+        # were; or the manifest after everything else was.
         root, _, _ = corpus
         out_dir = tmp_path / "out"
         (out_dir / "noisy").mkdir(parents=True)
@@ -720,24 +765,32 @@ class TestBuildCorpus:
             build_corpus([Path("c.wav")], [], tmp_path, StftConfig(), mel_bank(), IbmConfig())
 
 
-def write_feature_corpus(root, lengths, lps_dims, mfcc_dims, seed):
-    """Random feature containers for one utterance per length, and stats for them."""
+def write_feature_corpus(root, lengths, lps_dims, mfcc_dims, seed, n_noises=1):
+    """Random feature containers for one voice per length, each mixed with
+    n_noises noises, and stats for them. The entries go noise by noise, so
+    a voice's mixtures are not next to each other when n_noises > 1."""
     rng = np.random.default_rng(seed)
     features_dir = root / corpus_mod.FEATURES_DIR
     features_dir.mkdir()
-    entries = []
     for i, n in enumerate(lengths):
-        entry = MixSpec(Path(f"c{i}.wav"), Path("noise.wav"), 0.0, 0, "train")
-        blocks = {
-            "noisy_lps": (rng.normal(-3.0, 2.0, (n, lps_dims)), FeatureKind.LPS),
-            "noisy_mfcc": (rng.normal(1.0, 3.0, (n, mfcc_dims)), FeatureKind.MFCC),
+        clean = {
             "clean_lps": (rng.normal(-4.0, 2.0, (n, lps_dims)), FeatureKind.LPS),
             "clean_mfcc": (rng.normal(0.5, 3.0, (n, mfcc_dims)), FeatureKind.MFCC),
-            "ibm": ((rng.random((n, lps_dims)) > 0.5).astype(float), FeatureKind.IBM),
         }
-        for name, (data, kind) in blocks.items():
-            write_features(feature_path(features_dir, entry.utterance_id, name), FeatureMatrix(data, kind))
-        entries.append(entry)
+        for name, (data, kind) in clean.items():
+            write_features(feature_path(features_dir, f"c{i}", name), FeatureMatrix(data, kind))
+    entries = []
+    for j in range(n_noises):
+        for i, n in enumerate(lengths):
+            entry = MixSpec(Path(f"c{i}.wav"), Path(f"noise{j}.wav"), 0.0, 0, "train")
+            blocks = {
+                "noisy_lps": (rng.normal(-3.0, 2.0, (n, lps_dims)), FeatureKind.LPS),
+                "noisy_mfcc": (rng.normal(1.0, 3.0, (n, mfcc_dims)), FeatureKind.MFCC),
+                "ibm": ((rng.random((n, lps_dims)) > 0.5).astype(float), FeatureKind.IBM),
+            }
+            for name, (data, kind) in blocks.items():
+                write_features(feature_path(features_dir, entry.utterance_id, name), FeatureMatrix(data, kind))
+            entries.append(entry)
     stats = {
         FeatureKind.LPS: NormStats(rng.normal(-3.0, 1.0, lps_dims), rng.uniform(1.0, 5.0, lps_dims)),
         FeatureKind.MFCC: NormStats(rng.normal(1.0, 1.0, mfcc_dims), rng.uniform(1.0, 9.0, mfcc_dims)),
@@ -759,18 +812,24 @@ class TestLoadTrainingData:
         variant=st.sampled_from([Variant.BASELINE, Variant.MFCC_IBM]),
         tau=st.integers(0, 4),
         noise_aware_frames=st.integers(1, 4),
+        n_noises=st.integers(1, 2),
         draw=st.data(),
     )
-    def test_gather_matches_materialised_rows(self, variant, tau, noise_aware_frames, draw):
+    def test_gather_matches_materialised_rows(self, variant, tau, noise_aware_frames, n_noises, draw):
         # Lengths run from the shortest an utterance may be to past one
         # window, so windows are clamped at both edges.
         longest = max(noise_aware_frames, 2 * tau + 1) + 2
         lengths = draw.draw(st.lists(st.integers(noise_aware_frames, longest), min_size=1, max_size=3))
         with tempfile.TemporaryDirectory() as tmp:
-            entries, stats = write_feature_corpus(Path(tmp), lengths, 5, 3, seed=sum(lengths) + tau)
+            entries, stats = write_feature_corpus(
+                Path(tmp), lengths, 5, 3, seed=sum(lengths) + tau, n_noises=n_noises
+            )
+            # Any order: a voice's mixtures need not be next to each other.
+            entries = draw.draw(st.permutations(entries))
             args = (Path(tmp), entries, variant, stats, tau, noise_aware_frames)
             got, want = load_training_data(*args), materialised_training_data(*args)
-        n = sum(lengths)
+        n = sum(lengths) * n_noises
+        assert got.clean_lps.shape[0] == sum(lengths)
         picks = draw.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
         start, stop = sorted(draw.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
         assert got.n_rows == n
@@ -780,14 +839,14 @@ class TestLoadTrainingData:
                 assert_same_bytes(getattr(a, name), getattr(b, name))
 
     def test_peak_memory_stays_near_what_it_returns(self, tmp_path):
-        entries, stats = write_feature_corpus(tmp_path, [50] * 16, 257, 41, seed=3)
+        entries, stats = write_feature_corpus(tmp_path, [50] * 8, 257, 41, seed=3, n_noises=2)
         tracemalloc.start()
         try:
             data = load_training_data(tmp_path, entries, Variant.MFCC_IBM, stats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        arrays = (data.frames, data.windows, data.targets_lps, data.targets_mfcc, data.targets_ibm)
+        arrays = (data.frames, data.windows, data.clean_lps, data.clean_mfcc, data.clean_rows, data.targets_ibm)
         held = sum(a.nbytes for a in arrays)
         assert peak < 1.5 * held, f"peak {peak} B for {held} B returned"
 
@@ -802,17 +861,38 @@ class TestLoadTrainingData:
     )
     def test_misfit_container_named(self, tmp_path, variant, name, data, kind, message):
         entries, stats = write_feature_corpus(tmp_path, [8], 5, 3, seed=1)
-        target = feature_path(tmp_path / corpus_mod.FEATURES_DIR, entries[0].utterance_id, name)
+        file_id = entries[0].clean_path.stem if name.startswith("clean") else entries[0].utterance_id
+        target = feature_path(tmp_path / corpus_mod.FEATURES_DIR, file_id, name)
         write_features(target, FeatureMatrix(data, kind))
         with pytest.raises(FormatError, match=re.escape(f"{target}: {message}")):
             load_training_data(tmp_path, entries, variant, stats)
 
     def test_misaligned_target_named(self, tmp_path):
         entries, stats = write_feature_corpus(tmp_path, [8], 5, 3, seed=1)
-        target = feature_path(tmp_path / corpus_mod.FEATURES_DIR, entries[0].utterance_id, "clean_lps")
+        target = feature_path(tmp_path / corpus_mod.FEATURES_DIR, entries[0].clean_path.stem, "clean_lps")
         write_features(target, FeatureMatrix(np.zeros((7, 5)), FeatureKind.LPS))
         with pytest.raises(FormatError, match=re.escape(f"{target}: 7 frames, the noisy LPS has 8")):
             load_training_data(tmp_path, entries, Variant.BASELINE, stats)
+
+    @pytest.mark.parametrize(
+        "variant, file_id, name, kind, width, named, counts",
+        [
+            (Variant.MFCC_OUT, "c0", "clean_mfcc", FeatureKind.MFCC, 3, "clean_mfcc", (7, 8)),
+            (Variant.BASELINE, "c0__noise1__snr0dB", "noisy_lps", FeatureKind.LPS, 5, "clean_lps", (8, 7)),
+        ],
+        ids=["voice-mfcc", "second-mixture"],
+    )
+    def test_voice_misaligned_with_a_mixture_named(
+        self, tmp_path, variant, file_id, name, kind, width, named, counts
+    ):
+        # The voice's clean MFCC, or the noisy LPS of its second mixture,
+        # gets 7 frames; the error names the voice's file and both counts.
+        entries, stats = write_feature_corpus(tmp_path, [8], 5, 3, seed=1, n_noises=2)
+        features_dir = tmp_path / corpus_mod.FEATURES_DIR
+        write_features(feature_path(features_dir, file_id, name), FeatureMatrix(np.zeros((7, width)), kind))
+        message = f"{feature_path(features_dir, 'c0', named)}: {counts[0]} frames, the noisy LPS has {counts[1]}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_training_data(tmp_path, entries, variant, stats)
 
 
 class TestAssignSplits:
