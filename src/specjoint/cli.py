@@ -241,7 +241,7 @@ def cmd_enhance(args) -> int:
     return 1 if failed else 0
 
 
-def _score_split(args, config: RunConfig, score):
+def _score_split(args, config: RunConfig, analyse, score):
     """metrics.score_pairs over the chosen split, logging each utterance
     with no enhanced WAV and each that cannot be scored; fails when none
     can be scored."""
@@ -251,7 +251,7 @@ def _score_split(args, config: RunConfig, score):
         raise SpecJointError(f"manifest {manifest} has no {args.split}-split entries")
     with _per_file_map(args.jobs) as map_fn:
         scored, missing, failed = metrics_mod.score_pairs(
-            selected, args.enhanced_dir, score, config.sample_rate, map_fn
+            selected, args.enhanced_dir, analyse, score, config.sample_rate, map_fn
         )
     for utterance_id in missing:
         log.error("missing enhanced file for %s", utterance_id)
@@ -264,7 +264,9 @@ def _score_split(args, config: RunConfig, score):
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    scored, missing, failed = _score_split(args, config, metrics_mod.ssnr_stoi)
+    scored, missing, failed = _score_split(
+        args, config, metrics_mod.analyse_reference, metrics_mod.ssnr_stoi
+    )
     report = metrics_mod.report_csv(scored, missing, failed)
     Path(args.out_csv).write_text(report, encoding="utf-8")
     # Log the overall rows as written rather than averaging a second time.
@@ -279,11 +281,13 @@ def cmd_distortion(args) -> int:
     config = _load_config(args)
     stft_config = config.stft_config()
 
-    def profile_of(clean, enhanced):
-        clean_lps, enhanced_lps = lps(stft(clean, stft_config)), lps(stft(enhanced, stft_config))
-        return metrics_mod.distortion_profile(clean_lps.data, enhanced_lps.data)
+    def clean_lps(clean):
+        return lps(stft(clean, stft_config)).data
 
-    scored, missing, failed = _score_split(args, config, profile_of)
+    def profile_of(clean, enhanced, clean_lps):
+        return metrics_mod.distortion_profile(clean_lps, lps(stft(enhanced, stft_config)).data)
+
+    scored, missing, failed = _score_split(args, config, clean_lps, profile_of)
     profile = metrics_mod.profile_csv(scored, config.sample_rate, config.stft_fft_size)
     Path(args.out_csv).write_text(profile, encoding="utf-8")
     return 1 if missing or failed else 0

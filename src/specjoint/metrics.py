@@ -2,19 +2,23 @@
 
 Three measures: segmental SNR over speech-active frames, a short-time
 intelligibility score built from one-third-octave envelope correlations,
-and a per-frequency-bin log-spectral error profile. score_pairs is the one
-reader of clean/enhanced pairs; it reads each clean voice once and cuts
-each pair to the shorter length.
+and a per-frequency-bin log-spectral error profile. SSNR and STOI each split
+into a half that depends on the reference alone and a half per test signal.
+score_pairs is the one reader of clean/enhanced pairs; it cuts each pair to
+the shorter length, and reads each clean voice once and analyses it once
+per length its pairs are cut to.
 """
 
 import csv
 import io
+import threading
+from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 from .dsp import Waveform, frame_signal, overlap_add
 from .errors import MetricError, SpecJointError
@@ -48,22 +52,28 @@ def _aligned(reference: Waveform, test: Waveform) -> tuple[np.ndarray, np.ndarra
     return reference.samples[:n], test.samples[:n]
 
 
-def ssnr(reference: Waveform, test: Waveform) -> float:
+def _ssnr_reference(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SSNR's frames of the reference, their powers and the speech-active mask."""
+    frames = frame_signal(ref, SSNR_FRAME_LEN, SSNR_HOP)
+    if frames.shape[0] == 0:
+        raise MetricError(f"signal shorter than one frame ({SSNR_FRAME_LEN} samples)")
+    power = np.sum(frames**2, axis=1)
+    active = power > SSNR_SILENCE_FLOOR * np.mean(ref**2) * SSNR_FRAME_LEN
+    if not np.any(active):
+        raise MetricError("reference has no speech-active frames")
+    return frames, power, active
+
+
+def ssnr(reference: Waveform, test: Waveform, analysis: tuple | None = None) -> float:
     """Mean per-frame SNR in dB, clamped to [-10, 35], over active frames.
 
     A frame is active when its mean power exceeds 1e-8 times the utterance
-    mean power of the reference. Zero error clamps at the ceiling.
+    mean power of the reference. Zero error clamps at the ceiling. analysis,
+    when given, is this reference's half from analyse_reference.
     """
     ref, tst = _aligned(reference, test)
-    ref_frames = frame_signal(ref, SSNR_FRAME_LEN, SSNR_HOP)
-    tst_frames = frame_signal(tst, SSNR_FRAME_LEN, SSNR_HOP)
-    if ref_frames.shape[0] == 0:
-        raise MetricError(f"signal shorter than one frame ({SSNR_FRAME_LEN} samples)")
-    ref_power = np.sum(ref_frames**2, axis=1)
-    err_power = np.sum((ref_frames - tst_frames) ** 2, axis=1)
-    active = ref_power > SSNR_SILENCE_FLOOR * np.mean(ref**2) * SSNR_FRAME_LEN
-    if not np.any(active):
-        raise MetricError("reference has no speech-active frames")
+    ref_frames, ref_power, active = _ssnr_reference(ref) if analysis is None else analysis
+    err_power = np.sum((ref_frames - frame_signal(tst, SSNR_FRAME_LEN, SSNR_HOP)) ** 2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         snr_db = 10.0 * np.log10(np.where(err_power > 0.0, ref_power / err_power, np.inf))
     return float(np.mean(np.clip(snr_db[active], SSNR_FLOOR_DB, SSNR_CEIL_DB)))
@@ -75,27 +85,23 @@ def _stoi_window() -> np.ndarray:
     return np.hanning(STOI_FRAME_LEN + 2)[1:-1]
 
 
-def _resample_to_stoi_rate(x: np.ndarray, rate: int) -> np.ndarray:
+def _resample_filter(rate: int) -> np.ndarray | None:
+    """The anti-aliasing filter resample_poly designs by default from rate to
+    the STOI rate, or None at the STOI rate."""
+    if rate == STOI_RATE:
+        return None
+    g = np.gcd(rate, STOI_RATE)
+    max_rate = max(STOI_RATE // g, rate // g)
+    return firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+
+
+def _resample_to_stoi_rate(x: np.ndarray, rate: int, taps: np.ndarray | None = None) -> np.ndarray:
+    """x at the STOI rate; taps is _resample_filter(rate), designed here if not given."""
     if rate == STOI_RATE:
         return x
     g = np.gcd(rate, STOI_RATE)
-    return resample_poly(x, STOI_RATE // g, rate // g)
-
-
-def _remove_silent_frames(ref: np.ndarray, tst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop frames more than 40 dB below the loudest reference frame.
-
-    Frames are selected on the reference alone, windowed once, and both
-    signals are rebuilt by overlap-add of the surviving frames.
-    """
-    win = _stoi_window()
-    ref_frames = frame_signal(ref, STOI_FRAME_LEN, STOI_HOP) * win
-    tst_frames = frame_signal(tst, STOI_FRAME_LEN, STOI_HOP) * win
-    if ref_frames.shape[0] == 0:
-        raise MetricError("signal shorter than one frame after resampling")
-    energies = 20.0 * np.log10(np.linalg.norm(ref_frames, axis=1) + _EPS)
-    keep = energies > np.max(energies) - STOI_DYN_RANGE_DB
-    return overlap_add(ref_frames[keep], STOI_HOP), overlap_add(tst_frames[keep], STOI_HOP)
+    taps = _resample_filter(rate) if taps is None else taps
+    return resample_poly(x, STOI_RATE // g, rate // g, window=taps)
 
 
 def _third_octave_bands() -> np.ndarray:
@@ -112,49 +118,77 @@ def _third_octave_bands() -> np.ndarray:
     return bands
 
 
-def _band_envelopes(x: np.ndarray) -> np.ndarray:
-    win = _stoi_window()
-    frames = frame_signal(x, STOI_FRAME_LEN, STOI_HOP) * win
+@dataclass(frozen=True)
+class _StoiReference:
+    """The half of STOI that depends on the reference alone."""
+
+    taps: np.ndarray | None  # the resampling filter, from _resample_filter
+    window: np.ndarray
+    bands: np.ndarray
+    keep: np.ndarray  # frames within 40 dB of the loudest reference frame
+    norms: np.ndarray  # per segment and band: the envelope norm
+    ceiling: np.ndarray  # the clip ceiling of each envelope value
+    unit: np.ndarray  # segments x bands x 30: mean removed, unit norm
+
+
+def _band_envelopes(kept: np.ndarray, window: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """Band envelopes of the signal rebuilt by overlap-add of the kept windowed frames."""
+    frames = frame_signal(overlap_add(kept, STOI_HOP), STOI_FRAME_LEN, STOI_HOP) * window
     power = np.abs(np.fft.rfft(frames, n=STOI_FFT_SIZE, axis=1)) ** 2
-    return np.sqrt(power @ _third_octave_bands().T)
+    return np.sqrt(power @ bands.T)
 
 
-def stoi(reference: Waveform, test: Waveform) -> float:
+def _stoi_reference(samples: np.ndarray, rate: int) -> _StoiReference:
+    """Resample the reference to 10 kHz, keep its frames within 40 dB of the
+    loudest, and cut its one-third-octave envelopes into 30-frame segments."""
+    taps = _resample_filter(rate)
+    window = _stoi_window()
+    ref = _resample_to_stoi_rate(samples, rate, taps)
+    frames = frame_signal(ref, STOI_FRAME_LEN, STOI_HOP) * window
+    if frames.shape[0] == 0:
+        raise MetricError("signal shorter than one frame after resampling")
+    energies = 20.0 * np.log10(np.linalg.norm(frames, axis=1) + _EPS)
+    keep = energies > np.max(energies) - STOI_DYN_RANGE_DB
+    bands = _third_octave_bands()
+    env = _band_envelopes(frames[keep], window, bands)
+    if env.shape[0] < STOI_SEGMENT:
+        raise MetricError(
+            f"only {env.shape[0]} active frames; need at least {STOI_SEGMENT} "
+            "(roughly half a second of speech)"
+        )
+    if np.all(samples == samples[0]):
+        raise MetricError("reference is constant; STOI needs a reference that varies")
+    # One (band, frame) block per 30-frame segment: segments x bands x 30.
+    x = np.lib.stride_tricks.sliding_window_view(env, STOI_SEGMENT, axis=0)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    ceiling = x * (1.0 + 10.0 ** (-STOI_CLIP_DB / 20.0))
+    x = x - x.mean(axis=-1, keepdims=True)
+    unit = x / (np.linalg.norm(x, axis=-1, keepdims=True) + _EPS)
+    return _StoiReference(taps, window, bands, keep, norms, ceiling, unit)
+
+
+def stoi(reference: Waveform, test: Waveform, analysis: _StoiReference | None = None) -> float:
     """Short-time intelligibility score of test speech against its reference.
 
     Both signals are resampled to 10 kHz; silent reference frames are
     removed from both; one-third-octave envelopes are compared over
     30-frame segments with per-segment normalization and clipping at
     -15 dB signal-to-distortion ratio. Higher is more intelligible;
-    identical signals score 1.
+    identical signals score 1. analysis, when given, is this reference's
+    half from analyse_reference.
     """
-    aligned, tst = _aligned(reference, test)
-    ref = _resample_to_stoi_rate(aligned, reference.sample_rate)
-    tst = _resample_to_stoi_rate(tst, reference.sample_rate)
-    ref, tst = _remove_silent_frames(ref, tst)
-    ref_env = _band_envelopes(ref)
-    tst_env = _band_envelopes(tst)
-    n_frames = ref_env.shape[0]
-    if n_frames < STOI_SEGMENT:
-        raise MetricError(
-            f"only {n_frames} active frames; need at least {STOI_SEGMENT} "
-            "(roughly half a second of speech)"
-        )
-    if np.all(aligned == aligned[0]):
-        raise MetricError("reference is constant; STOI needs a reference that varies")
-    clip_gain = 10.0 ** (-STOI_CLIP_DB / 20.0)
-    # One (band, frame) block per 30-frame segment: segments x bands x 30.
-    x = np.lib.stride_tricks.sliding_window_view(ref_env, STOI_SEGMENT, axis=0)
-    y = np.lib.stride_tricks.sliding_window_view(tst_env, STOI_SEGMENT, axis=0)
-    scale = np.linalg.norm(x, axis=-1, keepdims=True) / (
-        np.linalg.norm(y, axis=-1, keepdims=True) + _EPS
-    )
-    y = np.minimum(y * scale, x * (1.0 + clip_gain))
-    x = x - x.mean(axis=-1, keepdims=True)
+    ref, tst = _aligned(reference, test)
+    if analysis is None:
+        analysis = _stoi_reference(ref, reference.sample_rate)
+    tst = _resample_to_stoi_rate(tst, reference.sample_rate, analysis.taps)
+    frames = frame_signal(tst, STOI_FRAME_LEN, STOI_HOP) * analysis.window
+    env = _band_envelopes(frames[analysis.keep], analysis.window, analysis.bands)
+    y = np.lib.stride_tricks.sliding_window_view(env, STOI_SEGMENT, axis=0)
+    scale = analysis.norms / (np.linalg.norm(y, axis=-1, keepdims=True) + _EPS)
+    y = np.minimum(y * scale, analysis.ceiling)
     y = y - y.mean(axis=-1, keepdims=True)
-    x = x / (np.linalg.norm(x, axis=-1, keepdims=True) + _EPS)
     y = y / (np.linalg.norm(y, axis=-1, keepdims=True) + _EPS)
-    return float(np.mean(np.sum(x * y, axis=-1)))
+    return float(np.mean(np.sum(analysis.unit * y, axis=-1)))
 
 
 def distortion_profile(clean_lps: np.ndarray, estimated_lps: np.ndarray) -> tuple[np.ndarray, int]:
@@ -187,18 +221,20 @@ def profile_csv(scored, sample_rate: int, fft_size: int) -> str:
 
 
 def score_pairs(
-    entries, enhanced_dir: str | Path, score, sample_rate: int, map_fn
+    entries, enhanced_dir: str | Path, analyse, score, sample_rate: int, map_fn
 ) -> tuple[list[tuple], list[str], list[tuple[Path, str]]]:
-    """Apply score(clean, enhanced) to each entry's enhanced <utterance_id>.wav.
+    """Apply score(clean, enhanced, analyse(clean)) to each entry's enhanced <utterance_id>.wav.
 
     Both WAVs are read at sample_rate and cut to the shorter length. The
     pairs are taken one clean voice at a time: its clean WAV is read once,
-    in this thread, and map_fn scores its pairs, so one pair stays map_fn's
-    unit of work and a split of few voices still spreads over every worker.
-    map_fn may score them in parallel, as long as it keeps their order.
-    Returns (entry, score) pairs, the ids with no enhanced WAV, and
-    (enhanced path, reason) for each pair whose enhanced WAV cannot be read
-    or that score rejects with a SpecJointError, each in id order.
+    in this thread, and analyse runs once per length its pairs are cut to,
+    in the first pair's worker. map_fn scores the pairs, so one pair stays
+    map_fn's unit of work and a split of few voices still spreads over
+    every worker. map_fn may score them in parallel, as long as it keeps
+    their order. Returns (entry, score) pairs, the ids with no enhanced WAV,
+    and (enhanced path, reason) for each pair whose enhanced WAV cannot be
+    read or that analyse or score rejects with a SpecJointError, each in id
+    order.
     """
     enhanced_dir = Path(enhanced_dir)
     present, missing = [], []
@@ -207,12 +243,27 @@ def score_pairs(
             present.append(entry)
         else:
             missing.append(entry.utterance_id)
+    lock = threading.Lock()
 
-    def score_pair(clean: Waveform, entry):
+    def analysed(clean: Waveform, analyses: dict):
+        """analyse(clean), run once per length; what it raised stands in for its result."""
+        with lock:
+            if len(clean) not in analyses:
+                try:
+                    analyses[len(clean)] = analyse(clean)
+                except SpecJointError as exc:
+                    analyses[len(clean)] = exc
+            return analyses[len(clean)]
+
+    def score_pair(clean: Waveform, analyses: dict, entry):
         try:
             enhanced = read_wav(enhanced_dir / f"{entry.utterance_id}.wav", expected_rate=sample_rate)
             clean_samples, enhanced_samples = _aligned(clean, enhanced)
-            return score(Waveform(clean_samples, sample_rate), Waveform(enhanced_samples, sample_rate))
+            clean = Waveform(clean_samples, sample_rate)
+            analysis = analysed(clean, analyses)
+            if isinstance(analysis, SpecJointError):
+                return analysis
+            return score(clean, Waveform(enhanced_samples, sample_rate), analysis)
         except (SpecJointError, OSError) as exc:
             return exc
 
@@ -222,7 +273,7 @@ def score_pairs(
         voice = list(voice)
         # An unreadable clean WAV is a fault of the corpus or config: it ends the command.
         clean = read_wav(clean_path, expected_rate=sample_rate)
-        results += zip(voice, map_fn(partial(score_pair, clean), voice))
+        results += zip(voice, map_fn(partial(score_pair, clean, {}), voice))
     scored, failed = [], []
     for entry, result in sorted(results, key=lambda pair: pair[0].utterance_id):
         if isinstance(result, Exception):
@@ -232,8 +283,19 @@ def score_pairs(
     return scored, missing, failed
 
 
-def ssnr_stoi(clean: Waveform, enhanced: Waveform) -> dict[str, float]:
-    return {"ssnr_db": ssnr(clean, enhanced), "stoi": stoi(clean, enhanced)}
+def analyse_reference(clean: Waveform) -> tuple:
+    """The halves of SSNR and STOI that depend on the clean signal alone.
+
+    SSNR's comes first, so a clean signal that both reject fails with
+    SSNR's reason, as scoring the pair alone does.
+    """
+    return _ssnr_reference(clean.samples), _stoi_reference(clean.samples, clean.sample_rate)
+
+
+def ssnr_stoi(clean: Waveform, enhanced: Waveform, analysis: tuple) -> dict[str, float]:
+    """Both scores of enhanced against clean; analysis is analyse_reference(clean)."""
+    ssnr_half, stoi_half = analysis
+    return {"ssnr_db": ssnr(clean, enhanced, ssnr_half), "stoi": stoi(clean, enhanced, stoi_half)}
 
 
 def condition_means(scored) -> tuple[dict[tuple[str, float], dict[str, float]], dict[str, float]]:

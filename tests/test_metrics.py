@@ -1,9 +1,14 @@
+import contextlib
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import resample_poly
 
 from specjoint import (
     MetricError,
@@ -18,6 +23,8 @@ from specjoint import (
     write_wav,
 )
 from specjoint import metrics
+from specjoint.cli import main
+from specjoint.corpus import write_manifest
 from specjoint.synth import harmonic_voice, white_noise
 from oracles import loop_stoi
 
@@ -144,8 +151,9 @@ class TestStoiMatchesLoop:
         # At the STOI rate, 30 frames of 256 samples every 128.
         ref = rng.standard_normal(29 * metrics.STOI_HOP + metrics.STOI_FRAME_LEN)
         tst = ref + noise * rng.standard_normal(len(ref))
-        kept, _ = metrics._remove_silent_frames(ref, tst)
-        assert metrics._band_envelopes(kept).shape[0] == metrics.STOI_SEGMENT
+        # Silence removal keeps all 30 frames: one segment of 30 envelope frames.
+        segments = metrics._stoi_reference(ref, metrics.STOI_RATE).unit
+        assert segments.shape[0] == 1 and segments.shape[-1] == metrics.STOI_SEGMENT
         assert_matches_loop(wave(ref, metrics.STOI_RATE), wave(tst, metrics.STOI_RATE))
 
     @settings(max_examples=25)
@@ -164,6 +172,25 @@ class TestStoiMatchesLoop:
             stoi(dc, dc)
         with pytest.raises(MetricError):
             loop_stoi(dc, dc)
+
+
+class TestResampleFilter:
+    """STOI designs its resampling filter once per reference and hands it to
+    resample_poly; the output must be the bytes of resample_poly's own default."""
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+    def test_matches_resample_poly_default(self, rng, rate):
+        x = rng.standard_normal(rate // 2)
+        g = np.gcd(rate, metrics.STOI_RATE)
+        want = resample_poly(x, metrics.STOI_RATE // g, rate // g).tobytes()
+        assert metrics._resample_to_stoi_rate(x, rate).tobytes() == want
+        taps = metrics._resample_filter(rate)
+        assert metrics._resample_to_stoi_rate(x, rate, taps).tobytes() == want
+
+    def test_stoi_rate_input_is_returned_unchanged(self, rng):
+        x = rng.standard_normal(5000)
+        assert metrics._resample_filter(metrics.STOI_RATE) is None
+        assert metrics._resample_to_stoi_rate(x, metrics.STOI_RATE) is x
 
 
 def profile_means(profiles, n_bins: int) -> np.ndarray:
@@ -240,9 +267,16 @@ def eval_setup(tmp_path_factory):
     return entries, enhanced_dir
 
 
+def score_with_analysis(entries, enhanced_dir, map_fn=map):
+    """The evaluate command's scoring of every pair, each clean voice analysed once."""
+    return metrics.score_pairs(
+        entries, enhanced_dir, metrics.analyse_reference, metrics.ssnr_stoi, 16000, map_fn
+    )
+
+
 def evaluate(entries, enhanced_dir):
     """The evaluate command's pass: score every pair, then average per condition and overall."""
-    scored, missing, failed = metrics.score_pairs(entries, enhanced_dir, metrics.ssnr_stoi, 16000, map)
+    scored, missing, failed = score_with_analysis(entries, enhanced_dir)
     return scored, missing, failed, metrics.condition_means(scored)
 
 
@@ -304,8 +338,13 @@ def write_voices(tmp_path, stems, noises):
     return entries
 
 
-def same_samples(clean, enhanced):
-    return bool(np.array_equal(clean.samples, enhanced.samples))
+def same_samples(clean, enhanced, analysis):
+    """Whether enhanced, and the clean signal analysis was made from, equal clean."""
+    return all(np.array_equal(clean.samples, x.samples) for x in (enhanced, analysis))
+
+
+def itself(clean):
+    return clean
 
 
 def test_interleaved_voices_are_scored_against_their_own_clean(tmp_path, monkeypatch):
@@ -319,7 +358,9 @@ def test_interleaved_voices_are_scored_against_their_own_clean(tmp_path, monkeyp
         return read_wav(path, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "read_wav", counting_read_wav)
-    scored, missing, failed = metrics.score_pairs(entries, tmp_path / "enhanced", same_samples, 16000, map)
+    scored, missing, failed = metrics.score_pairs(
+        entries, tmp_path / "enhanced", itself, same_samples, 16000, map
+    )
     assert [e.utterance_id for e, _ in scored] == sorted(e.utterance_id for e in entries)
     assert [e.clean_path.stem for e, _ in scored] == ["a", "a_", "a_", "a"]
     assert all(same for _, same in scored) and not missing and not failed
@@ -336,7 +377,9 @@ def test_each_pair_is_one_unit_of_work(tmp_path):
         handed.append(len(items))
         return map(fn, items)
 
-    scored, _, _ = metrics.score_pairs(entries, tmp_path / "enhanced", same_samples, 16000, recording_map)
+    scored, _, _ = metrics.score_pairs(
+        entries, tmp_path / "enhanced", itself, same_samples, 16000, recording_map
+    )
     assert handed == [3] and len(scored) == 3
 
 
@@ -368,3 +411,137 @@ class TestReportCsv:
         expected += ["missing,,utterance,v98__white__snr0dB", "failed,,utterance,v99__white__snr0dB"]
         assert lines == expected
         assert sum(",lsd_db," in line for line in lines) == 5
+
+
+@contextlib.contextmanager
+def map_on(jobs: int):
+    """The builtin map for one job, else an order-keeping map over a pool of
+    that many threads that waits at most 60 s for each result."""
+    if jobs == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield lambda fn, items: pool.map(fn, items, timeout=60)
+
+
+def write_scoring_pairs(tmp_path, voices: dict, noises, cut_ids=()):
+    """One clean WAV per named voice, and per noise a noisy copy as its
+    enhanced WAV; the ids in cut_ids lose their last 3,000 samples."""
+    entries = []
+    for i, (stem, voice) in enumerate(voices.items()):
+        write_wav(tmp_path / "clean" / f"{stem}.wav", voice)
+        for j, noise in enumerate(noises):
+            entry = MixSpec(tmp_path / "clean" / f"{stem}.wav", Path(f"{noise}.wav"), 5.0, 0, "test")
+            noise_samples = white_noise(len(voice) / 16000, 16000, seed=10 * i + j).samples
+            noisy = voice.samples + 0.05 * noise_samples
+            if entry.utterance_id in cut_ids:
+                noisy = noisy[:-3000]
+            write_wav(tmp_path / "enhanced" / f"{entry.utterance_id}.wav", wave(noisy))
+            entries.append(entry)
+    return entries
+
+
+def read_pair(tmp_path, entry):
+    return read_wav(entry.clean_path), read_wav(tmp_path / "enhanced" / f"{entry.utterance_id}.wav")
+
+
+class TestPerVoiceAnalysis:
+    """score_pairs analyses each clean voice once per length its pairs are cut to."""
+
+    NOISES = ["babble", "hum", "white"]
+
+    @pytest.fixture
+    def pairs(self, tmp_path):
+        voices = {f"v{i}": harmonic_voice(1.0, 16000, f0=130.0 + 40 * i, seed=i) for i in range(2)}
+        cut = MixSpec(tmp_path / "clean" / "v1.wav", Path("hum.wav"), 5.0, 0, "test").utterance_id
+        return write_scoring_pairs(tmp_path, voices, self.NOISES, cut_ids={cut})
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scores_equal_each_pair_analysed_alone(self, tmp_path, monkeypatch, pairs, jobs):
+        builds = []
+        bands = metrics._third_octave_bands
+        monkeypatch.setattr(metrics, "_third_octave_bands", lambda: builds.append(1) or bands())
+        with map_on(jobs) as map_fn:
+            scored, missing, failed = score_with_analysis(pairs, tmp_path / "enhanced", map_fn)
+        analyses = len(builds)
+        assert len(scored) == len(pairs) and not missing and not failed
+        lengths = set()
+        for entry, scores in scored:
+            clean, enhanced = read_pair(tmp_path, entry)
+            n = min(len(clean), len(enhanced))
+            lengths.add((entry.clean_path, n))
+            cut_clean, cut_enhanced = wave(clean.samples[:n]), wave(enhanced.samples[:n])
+            alone = metrics.ssnr_stoi(cut_clean, cut_enhanced, metrics.analyse_reference(cut_clean))
+            assert scores == alone
+            assert scores == {"ssnr_db": ssnr(clean, enhanced), "stoi": stoi(clean, enhanced)}
+        # Two voices, one of them also cut short once: three reference analyses.
+        assert len(lengths) == 3 and analyses == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "level,reason",
+        [(0.3, "reference is constant"), (0.0, "reference has no speech-active frames")],
+    )
+    def test_rejected_clean_fails_only_its_own_pairs(self, tmp_path, jobs, level, reason):
+        # A DC clean voice passes SSNR and fails STOI; a silent one fails both,
+        # and scoring a pair alone reports SSNR's reason.
+        voices = {"flat": wave(np.full(16000, level)), "voiced": harmonic_voice(1.0, 16000, seed=4)}
+        entries = write_scoring_pairs(tmp_path, voices, self.NOISES)
+        with pytest.raises(MetricError) as alone:
+            clean, enhanced = read_pair(tmp_path, entries[0])
+            ssnr(clean, enhanced), stoi(clean, enhanced)
+        assert str(alone.value).startswith(reason)
+        analysed = []
+
+        def counting_analyse(clean):
+            analysed.append(len(clean))
+            return metrics.analyse_reference(clean)
+
+        with map_on(jobs) as map_fn:
+            scored, missing, failed = metrics.score_pairs(
+                entries, tmp_path / "enhanced", counting_analyse, metrics.ssnr_stoi, 16000, map_fn
+            )
+        flat_ids = sorted(e.utterance_id for e in entries if e.clean_path.stem == "flat")
+        assert [path.stem for path, _ in failed] == flat_ids
+        assert all(why == str(alone.value) for _, why in failed)
+        assert sorted(e.clean_path.stem for e, _ in scored) == ["voiced"] * 3 and not missing
+        assert len(analysed) == 2  # the rejected analysis is not tried again per pair
+        write_manifest(tmp_path / "manifest.tsv", entries)
+        args = [str(tmp_path), str(tmp_path / "enhanced"), str(tmp_path / "r.csv")]
+        assert main(["evaluate", "--jobs", str(jobs), *args]) == 1
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[-3:] == [f"failed,,utterance,{uid}" for uid in flat_ids]
+
+    def test_many_workers_analyse_each_length_once(self, tmp_path):
+        """With more threads than cores and a short switch interval, no length
+        is analysed twice and every pair gets the analysis of its own length."""
+        voice = harmonic_voice(0.5, 16000, seed=2)
+        write_wav(tmp_path / "clean" / "v.wav", voice)
+        entries = []
+        for i in range(24):
+            entry = MixSpec(tmp_path / "clean" / "v.wav", Path(f"n{i:02d}.wav"), 0.0, 0, "test")
+            cut = voice.samples[: 8000 - 100 * (i % 4)]
+            write_wav(tmp_path / "enhanced" / f"{entry.utterance_id}.wav", wave(cut))
+            entries.append(entry)
+        analysed = []
+
+        def slow_length(clean):
+            analysed.append(len(clean))
+            time.sleep(0.01)  # widen the window a second analysis would slip into
+            return len(clean)
+
+        def lengths(clean, enhanced, analysis):
+            return len(enhanced), analysis
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with map_on(8) as map_fn:
+                scored, _, failed = metrics.score_pairs(
+                    entries, tmp_path / "enhanced", slow_length, lengths, 16000, map_fn
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failed and len(scored) == 24
+        assert all(length == analysis for _, (length, analysis) in scored)
+        assert sorted(analysed) == [7700, 7800, 7900, 8000]
