@@ -82,7 +82,7 @@ def _wav_list(directory: Path) -> list[Path]:
 def _per_file_map(jobs: int):
     """Yield a map that keeps input order: the builtin for one job, so the
     work stays in this thread, else a pool of that many threads."""
-    if jobs <= 1:
+    if jobs == 1:
         yield map
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -298,12 +298,27 @@ def cmd_dump_defaults(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """The value of --jobs: a whole number of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return jobs
+
+
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
     if seed:
         parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="parallel workers for per-utterance work"
+        "--jobs",
+        type=_worker_count,
+        default=1,
+        metavar="N",
+        help="parallel workers for per-utterance work",
     )
 
 

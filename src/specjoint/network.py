@@ -14,8 +14,8 @@ import itertools
 import math
 import os
 import struct
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO
 
@@ -169,24 +169,31 @@ def _forward(
     inputs: np.ndarray,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    keep: bool = True,
 ) -> _ForwardCache:
+    """The network's outputs, with what `backward` reads of the hidden layers.
+
+    With `keep` false the cache holds no hidden layer: each layer's values
+    are dropped once the next layer has read them, which is enough for a
+    loss but not for `backward`.
+    """
     if inputs.shape[1] != model.input_dim:
         raise ValueError(f"input dim mismatch: got {inputs.shape[1]}, model wants {model.input_dim}")
     h = inputs
     pre, acts, masks = [], [], []
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         z = h @ w + b
-        a = np.maximum(z, 0.0)
+        a = np.maximum(z, 0.0, out=None if keep else z)
         mask = None
         if dropout > 0.0:
             if rng is None:
                 raise ValueError("dropout requires a generator")
-            keep = (rng.random(a.shape) >= dropout).astype(np.float32) / np.float32(1.0 - dropout)
-            a = a * keep
-            mask = keep
-        pre.append(z)
-        acts.append(a)
-        masks.append(mask)
+            mask = (rng.random(a.shape) >= dropout).astype(np.float32) / np.float32(1.0 - dropout)
+            a = a * mask
+        if keep:
+            pre.append(z)
+            acts.append(a)
+            masks.append(mask)
         h = a
     outputs = h @ model.weights[-1] + model.biases[-1]
     return _ForwardCache(inputs, pre, acts, masks, outputs)
@@ -194,7 +201,7 @@ def _forward(
 
 def predict(model: Model, inputs: np.ndarray) -> dict[FeatureKind, np.ndarray]:
     """Inference pass (no dropout); outputs split by head."""
-    outputs = _forward(model, np.asarray(inputs, dtype=np.float32)).outputs
+    outputs = _forward(model, np.asarray(inputs, dtype=np.float32), keep=False).outputs
     return {h.kind: outputs[:, h.offset : h.offset + h.width] for h in model.heads}
 
 
@@ -237,34 +244,42 @@ def backward(
     cache: _ForwardCache,
     output_grad: np.ndarray,
     out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+    step: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradient of the loss with respect to every weight and bias.
 
     With `out`, a (weights, biases) pair of arrays shaped like the model's
     parameters, the gradients are written into those arrays and `out` is
     returned; without it, a new pair is allocated.
+
+    With `step`, `step(layer, grad_w, grad_b)` gets each layer's gradients
+    as soon as they are ready, last layer first, and only after the error
+    signal of the layer below has been computed from this layer's weights.
+    So `step` may update the layer in place, and the arrays in `out` may be
+    views of one shared buffer; the returned lists then hold only what the
+    last write left in it.
     """
     n_layers = len(model.weights)
     grad_w, grad_b = out if out is not None else ([None] * n_layers, [None] * n_layers)
     delta = output_grad
-    prev = cache.activations[-1] if cache.activations else cache.inputs
-    grad_w[-1] = np.matmul(prev.T, delta, out=grad_w[-1])
-    grad_b[-1] = delta.sum(axis=0, out=grad_b[-1])
-    for i in range(n_layers - 2, -1, -1):
-        delta = delta @ model.weights[i + 1].T
-        if cache.dropout_masks[i] is not None:
-            delta = delta * cache.dropout_masks[i]
-        delta = delta * (cache.pre_activations[i] > 0)
+    for i in range(n_layers - 1, -1, -1):
         prev = cache.activations[i - 1] if i > 0 else cache.inputs
         grad_w[i] = np.matmul(prev.T, delta, out=grad_w[i])
         grad_b[i] = delta.sum(axis=0, out=grad_b[i])
+        if i > 0:
+            delta = delta @ model.weights[i].T
+            if cache.dropout_masks[i - 1] is not None:
+                delta = delta * cache.dropout_masks[i - 1]
+            delta = delta * (cache.pre_activations[i - 1] > 0)
+        if step is not None:
+            step(i, grad_w[i], grad_b[i])
     return grad_w, grad_b
 
 
 def batch_loss(model: Model, batch: TrainingData, alpha: float, beta: float) -> dict[str, float]:
     """Loss on a batch without dropout; used for validation."""
-    cache = _forward(model, batch.inputs)
-    losses, _ = loss_and_output_grad(model, cache.outputs, batch, alpha, beta)
+    outputs = _forward(model, batch.inputs, keep=False).outputs
+    losses, _ = loss_and_output_grad(model, outputs, batch, alpha, beta)
     return losses
 
 
@@ -335,19 +350,33 @@ def train(
     error. With validation rows, the parameters from the best-validation
     epoch are restored at the end.
 
-    Besides the parameters, a run holds four parameter-sized sets, each
-    allocated once: the momentum velocity, the epoch-start snapshot, one
-    gradient set that every step's backward pass overwrites, and, with
-    validation rows, the best-validation copy.
+    Each step's backward pass hands every layer's gradients to `sgd_step`
+    as soon as they are ready, so they pass through one buffer the size of
+    the largest layer. Besides the parameters, a run holds that buffer and
+    three parameter-sized sets, each allocated once: the momentum velocity,
+    the epoch-start snapshot and, with validation rows, the best-validation
+    copy.
     """
     dropout_rng = np.random.default_rng(config.seed + 0x5EED)
     state = _Momentum.zeros_like(model)
-    grads = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
+    dtype = model.weights[0].dtype
+    weight_buffer = np.empty(max(w.size for w in model.weights), dtype)
+    bias_buffer = np.empty(max(b.size for b in model.biases), dtype)
+    grads = (
+        [weight_buffer[: w.size].reshape(w.shape) for w in model.weights],
+        [bias_buffer[: b.size] for b in model.biases],
+    )
     history: list[EpochStats] = []
     best_val = np.inf
     epoch_start = best_params = None
     for epoch in range(config.epochs):
         lr = config.learning_rate_at(epoch)
+
+        def step(layer: int, grad_w: np.ndarray, grad_b: np.ndarray) -> None:
+            one_layer = replace(model, weights=[model.weights[layer]], biases=[model.biases[layer]])
+            velocity = _Momentum([state.velocity_w[layer]], [state.velocity_b[layer]])
+            sgd_step(one_layer, ([grad_w], [grad_b]), velocity, lr, config.momentum)
+
         epoch_start = _snapshot(model, epoch_start)
         weighted: list[tuple[dict[str, float], int]] = []
         for batch in assemble_batches(train_data, config.batch_size, config.seed + epoch):
@@ -360,8 +389,7 @@ def train(
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}; lower the learning rate", history
                 )
-            backward(model, cache, output_grad, out=grads)
-            sgd_step(model, grads, state, lr, config.momentum)
+            backward(model, cache, output_grad, out=grads, step=step)
             weighted.append((losses, batch.n_rows))
         train_losses = mean_losses(weighted)
         val_losses = None

@@ -8,7 +8,20 @@ from pathlib import Path
 
 import numpy as np
 
-from specjoint import MetricError, Model, TrainingData, Variant, Waveform, loss_and_output_grad
+from specjoint import (
+    EpochStats,
+    MetricError,
+    Model,
+    TrainConfig,
+    TrainingData,
+    Variant,
+    Waveform,
+    assemble_batches,
+    backward,
+    loss_and_output_grad,
+    mean_losses,
+    sgd_step,
+)
 from specjoint import container, metrics
 from specjoint.corpus import FEATURES_DIR, feature_path, normalize
 from specjoint.features import FeatureKind
@@ -170,6 +183,48 @@ def out_of_place_sgd_step(
         state.velocity_b[i] = mom * state.velocity_b[i] - lr * grad_b[i]
         model.weights[i] += state.velocity_w[i]
         model.biases[i] += state.velocity_b[i]
+
+
+def loop_train(
+    model: Model,
+    train_data: TrainingData,
+    config: TrainConfig,
+    val_data: TrainingData | None = None,
+) -> tuple[list[EpochStats], _Momentum]:
+    """`network.train` as the plain loop, without its divergence rollback:
+    each step takes the whole gradient set from `backward`, then one
+    whole-model `sgd_step`; validation keeps every forward cache. Returns
+    the history and the momentum state."""
+    dropout_rng = np.random.default_rng(config.seed + 0x5EED)
+    state = _Momentum.zeros_like(model)
+    history = []
+    best_val, best_params = np.inf, None
+    for epoch in range(config.epochs):
+        lr = config.learning_rate_at(epoch)
+        weighted = []
+        for batch in assemble_batches(train_data, config.batch_size, config.seed + epoch):
+            cache = _forward(model, batch.inputs, config.dropout, dropout_rng)
+            losses, output_grad = loss_and_output_grad(
+                model, cache.outputs, batch, config.alpha, config.beta
+            )
+            sgd_step(model, backward(model, cache, output_grad), state, lr, config.momentum)
+            weighted.append((losses, batch.n_rows))
+        val_losses = None
+        if val_data is not None:
+            chunks = []
+            for start in range(0, val_data.n_rows, 4096):
+                part = val_data.take(slice(start, start + 4096))
+                outputs = _forward(model, part.inputs).outputs
+                losses, _ = loss_and_output_grad(model, outputs, part, config.alpha, config.beta)
+                chunks.append((losses, part.n_rows))
+            val_losses = mean_losses(chunks)
+            if val_losses["total"] < best_val:
+                best_val = val_losses["total"]
+                best_params = [w.copy() for w in model.weights], [b.copy() for b in model.biases]
+        history.append(EpochStats(epoch + 1, lr, mean_losses(weighted), val_losses))
+    if best_params is not None:
+        model.weights, model.biases = best_params
+    return history, state
 
 
 def spliced_input_rows(

@@ -1270,6 +1270,36 @@ class TestMisc:
         assert parser.parse_args(["prepare", "--seed", "1", "clean", "noise", "out"]).seed == 1
         assert parser.parse_args(["train", "--seed", "1", "corpus", "m.sjnn"]).seed == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prepare", "clean", "noise", "out"],
+            ["train", "corpus", "m.sjnn"],
+            ["enhance", "m.sjnn", "noisy.wav", "out"],
+            ["evaluate", "corpus", "enhanced", "out.csv"],
+            ["distortion-profile", "corpus", "enhanced", "out.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two", "1.5"])
+    def test_jobs_below_one_fails_at_parse_time(self, argv, jobs, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--jobs", jobs, *argv[1:]])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [
+            f"specjoint {argv[0]}: error: argument --jobs: "
+            f"expected a whole number >= 1, got {jobs!r}"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_jobs_takes_any_count_from_one(self):
+        parser = build_parser()
+        for jobs in (1, 2, 16):
+            assert parser.parse_args(["enhance", "--jobs", str(jobs), "m", "in", "out"]).jobs == jobs
+        assert parser.parse_args(["enhance", "m", "in", "out"]).jobs == 1
+
     def test_console_script(self, tmp_path):
         # Run the entry point that pyproject.toml declares the way an installed
         # console-script wrapper does, so no install is needed.

@@ -29,12 +29,13 @@ from specjoint import (
     sgd_step,
     train,
 )
-from specjoint.network import _Momentum, _forward, head_layout
+from specjoint.network import _Momentum, _dataset_loss, _forward, head_layout
 
 from oracles import (
     as_float64,
     dense_rows,
     fd_gradient,
+    loop_train,
     model_loss,
     out_of_place_sgd_step,
     random_training_data,
@@ -384,6 +385,33 @@ class TestBackward:
         for a, b in zip(fresh[0] + fresh[1], arrays):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    def test_step_gets_each_layer_last_first_before_its_weights_change(self):
+        model = tiny_model(Variant.MFCC_IBM, seed=5, hidden_layers=3)
+        batch = one_batch(tiny_data(Variant.MFCC_IBM, seed=5))
+        cache = _forward(model, batch.inputs, dropout=0.2, rng=np.random.default_rng(5))
+        _, output_grad = loss_and_output_grad(model, cache.outputs, batch, 0.1, 0.002)
+        expected = backward(model, cache, output_grad)
+        # Every layer's gradients are written into the same two buffers.
+        weight_buffer = np.empty(max(w.size for w in model.weights), np.float32)
+        bias_buffer = np.empty(max(b.size for b in model.biases), np.float32)
+        shared = (
+            [weight_buffer[: w.size].reshape(w.shape) for w in model.weights],
+            [bias_buffer[: b.size] for b in model.biases],
+        )
+        arrived = []
+
+        def step(layer, grad_w, grad_b):
+            arrived.append((layer, grad_w.tobytes(), grad_b.tobytes()))
+            # A later read of this layer's weights would turn every gradient below it to NaN.
+            model.weights[layer].fill(np.nan)
+            model.biases[layer].fill(np.nan)
+
+        backward(model, cache, output_grad, out=shared, step=step)
+        assert [layer for layer, _, _ in arrived] == [3, 2, 1, 0]
+        for layer, grad_w, grad_b in arrived:
+            assert grad_w == expected[0][layer].tobytes()
+            assert grad_b == expected[1][layer].tobytes()
+
 
 class TestSgdStep:
     def scalar_model(self, w0=1.0):
@@ -512,8 +540,6 @@ class TestTrain:
             assert np.all(np.isfinite(w))
 
     def test_restore_best_rewinds_to_best_epoch(self):
-        from specjoint.network import _dataset_loss
-
         model = tiny_model(seed=3)
         val = tiny_data(seed=99)
         config = TrainConfig(epochs=10, batch_size=8, learning_rate=0.02, seed=3)
@@ -536,6 +562,34 @@ class TestTrain:
             train(corpus_model(Variant.IBM), baseline, config)
         with pytest.raises(ValueError, match="input dim mismatch"):
             train(corpus_model(Variant.MFCC), baseline, config)
+
+    def test_matches_the_whole_set_oracle_loop(self, monkeypatch):
+        # Dropout, a validation split of two chunks and three epochs: the
+        # per-layer updates leave every parameter and velocity bit as one
+        # whole-model step after a whole backward pass does.
+        config = TrainConfig(epochs=3, batch_size=8, learning_rate=0.05, dropout=0.2, seed=11)
+        data = tiny_data(Variant.MFCC_IBM, n_rows=40, seed=11)
+        val = tiny_data(Variant.MFCC_IBM, n_rows=4100, seed=12)
+        states = []
+        zeros_like = _Momentum.zeros_like
+
+        def recorded_zeros_like(cls, model):
+            states.append(zeros_like(model))
+            return states[-1]
+
+        monkeypatch.setattr(_Momentum, "zeros_like", classmethod(recorded_zeros_like))
+        fast = tiny_model(Variant.MFCC_IBM, seed=11, hidden_layers=3)
+        history = train(fast, data, config, val_data=val)
+        monkeypatch.undo()
+        slow = tiny_model(Variant.MFCC_IBM, seed=11, hidden_layers=3)
+        slow_history, slow_state = loop_train(slow, data, config, val_data=val)
+        assert history == slow_history
+        (state,) = states
+        fast_arrays = fast.weights + fast.biases + state.velocity_w + state.velocity_b
+        slow_arrays = slow.weights + slow.biases + slow_state.velocity_w + slow_state.velocity_b
+        for a, b in zip(fast_arrays, slow_arrays, strict=True):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
 
     def test_validation_reported(self):
         model = tiny_model(seed=6)
@@ -779,14 +833,27 @@ class TestMemory:
         load_model(path)  # first-use allocations are not what this measures
         assert traced_peak(lambda: load_model(path)) < 1.25 * parameter_bytes(model)
 
-    def test_train_holds_one_gradient_set(self):
-        # Velocity, the epoch-start snapshot and one gradient set come to 3x
-        # the parameters; a second live gradient set would pass 4x.
-        model = tiny_model(hidden_units=512)
+    def test_train_holds_one_layer_of_gradients(self):
+        # Three 512x512 layers hold nearly all the parameters. Velocity, the
+        # epoch-start snapshot and one layer-sized gradient buffer come to
+        # about 2.34x the parameters; a whole gradient set would pass 3x.
+        model = tiny_model(hidden_units=512, hidden_layers=4)
+        assert max(w.nbytes for w in model.weights) < 0.34 * parameter_bytes(model)
         data = tiny_data(n_rows=16)
         config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=0)
         train(tiny_model(), data, config)
-        assert traced_peak(lambda: train(model, data, config)) < 3.5 * parameter_bytes(model)
+        assert traced_peak(lambda: train(model, data, config)) < 2.6 * parameter_bytes(model)
+
+    def test_loss_and_predict_keep_no_backward_cache(self):
+        # Four hidden layers of 2,000 rows: a pass holds a layer's input, its
+        # product and its sum with the bias at once, while one that kept its
+        # backward cache would hold eight such layer outputs at its end.
+        model = tiny_model(hidden_units=512, hidden_layers=4)
+        data = tiny_data(n_rows=2000)
+        layer_bytes = 2000 * 512 * 4
+        _dataset_loss(model, data, 0.1, 0.002)
+        assert traced_peak(lambda: _dataset_loss(model, data, 0.1, 0.002)) < 4 * layer_bytes
+        assert traced_peak(lambda: predict(model, data.inputs)) < 4 * layer_bytes
 
 
 class TestLossMean:
