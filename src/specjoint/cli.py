@@ -318,7 +318,7 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
         type=_worker_count,
         default=1,
         metavar="N",
-        help="parallel workers for per-utterance work",
+        help="parallel workers for per-file work in enhance, evaluate and distortion-profile",
     )
 
 

@@ -130,6 +130,8 @@ class NormStats:
         variance = np.asarray(self.variance, dtype=np.float64)
         if mean.shape != variance.shape or mean.ndim != 1:
             raise ValueError("mean and variance must be 1-D vectors of equal length")
+        if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
+            raise ValueError("mean and variance must be finite")
         if np.any(variance <= 0.0):
             raise ValueError("variance must be strictly positive")
         object.__setattr__(self, "mean", mean)

@@ -95,13 +95,11 @@ def _resample_filter(rate: int) -> np.ndarray | None:
     return firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
 
 
-def _resample_to_stoi_rate(x: np.ndarray, rate: int, taps: np.ndarray | None = None) -> np.ndarray:
-    """x at the STOI rate; taps is _resample_filter(rate), designed here if not given."""
+def _resample_to_stoi_rate(x: np.ndarray, rate: int, taps: np.ndarray | None) -> np.ndarray:
+    """x at the STOI rate; taps is _resample_filter(rate)."""
     if rate == STOI_RATE:
         return x
-    g = np.gcd(rate, STOI_RATE)
-    taps = _resample_filter(rate) if taps is None else taps
-    return resample_poly(x, STOI_RATE // g, rate // g, window=taps)
+    return resample_poly(x, STOI_RATE, rate, window=taps)
 
 
 def _third_octave_bands() -> np.ndarray:

@@ -158,10 +158,9 @@ def init_model(
 @dataclass
 class _ForwardCache:
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
-    activations: list[np.ndarray]
-    dropout_masks: list[np.ndarray | None]
+    activations: list[np.ndarray]  # one array per hidden layer, after ReLU and dropout
     outputs: np.ndarray
+    dropout_scale: np.float32 | None  # 1/(1-p), by which every kept unit was multiplied
 
 
 def _forward(
@@ -179,24 +178,19 @@ def _forward(
     """
     if inputs.shape[1] != model.input_dim:
         raise ValueError(f"input dim mismatch: got {inputs.shape[1]}, model wants {model.input_dim}")
-    h = inputs
-    pre, acts, masks = [], [], []
+    scale = np.float32(1.0) / np.float32(1.0 - dropout) if dropout > 0.0 else None
+    if scale is not None and rng is None:
+        raise ValueError("dropout requires a generator")
+    h, acts = inputs, []
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = h @ w + b
-        a = np.maximum(z, 0.0, out=None if keep else z)
-        mask = None
-        if dropout > 0.0:
-            if rng is None:
-                raise ValueError("dropout requires a generator")
-            mask = (rng.random(a.shape) >= dropout).astype(np.float32) / np.float32(1.0 - dropout)
-            a = a * mask
+        h = h @ w + b
+        np.maximum(h, 0.0, out=h)
+        if scale is not None:
+            h *= (rng.random(h.shape) >= dropout).astype(h.dtype) * scale
         if keep:
-            pre.append(z)
-            acts.append(a)
-            masks.append(mask)
-        h = a
+            acts.append(h)
     outputs = h @ model.weights[-1] + model.biases[-1]
-    return _ForwardCache(inputs, pre, acts, masks, outputs)
+    return _ForwardCache(inputs, acts, outputs, scale)
 
 
 def predict(model: Model, inputs: np.ndarray) -> dict[FeatureKind, np.ndarray]:
@@ -267,10 +261,9 @@ def backward(
         grad_w[i] = np.matmul(prev.T, delta, out=grad_w[i])
         grad_b[i] = delta.sum(axis=0, out=grad_b[i])
         if i > 0:
-            delta = delta @ model.weights[i].T
-            if cache.dropout_masks[i - 1] is not None:
-                delta = delta * cache.dropout_masks[i - 1]
-            delta = delta * (cache.pre_activations[i - 1] > 0)
+            delta = (delta @ model.weights[i].T) * (prev > 0)  # ReLU gate: kept activation > 0
+            if cache.dropout_scale is not None:
+                delta *= cache.dropout_scale
         if step is not None:
             step(i, grad_w[i], grad_b[i])
     return grad_w, grad_b
@@ -450,8 +443,8 @@ class _Reader:
     """Reads a checkpoint's fields in order from an open file.
 
     Every field is checked against the bytes left in the file before it is
-    read, so a truncated or corrupt header cannot make it allocate more than
-    the file holds; arrays are read straight into their own buffers.
+    read, so a corrupt header cannot make it allocate more than the file
+    holds; arrays are read straight into their own buffers and must be finite.
     """
 
     def __init__(self, handle: BinaryIO, path: Path):
@@ -476,6 +469,8 @@ class _Reader:
         self._claim(dtype.itemsize * math.prod(shape))
         out = np.empty(shape, dtype=dtype)
         self.handle.readinto(out)
+        if not np.isfinite(out).all():
+            raise FormatError(f"{self.path}: checkpoint holds a NaN or infinite value")
         return out
 
 
@@ -491,6 +486,8 @@ def load_model(path: str | Path) -> Model:
         variant_code, tau, noise_aware_frames = reader.unpack("<BII")
         if variant_code not in _CODE_VARIANTS:
             raise FormatError(f"{path}: unknown variant code {variant_code}")
+        if noise_aware_frames < 1:
+            raise FormatError(f"{path}: noise_aware_frames must be >= 1, got {noise_aware_frames}")
         (n_layers,) = reader.unpack("<I")
         if not n_layers:
             raise FormatError(f"{path}: checkpoint has no layers")
@@ -514,9 +511,11 @@ def load_model(path: str | Path) -> Model:
         stats = {}
         for _ in range(n_stats):
             kind_code, dims = reader.unpack("<BI")
-            mean = reader.array("<f8", dims)
-            variance = reader.array("<f8", dims)
-            stats[feature_kind(kind_code)] = NormStats(mean, variance)
+            stats[feature_kind(kind_code)] = reader.array("<f8", dims), reader.array("<f8", dims)
+        try:
+            stats = {kind: NormStats(*pair) for kind, pair in stats.items()}
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         # The layout init_model builds for this variant, these statistics and tau.
         variant = _CODE_VARIANTS[variant_code]
         dims = {kind: s.dims for kind, s in stats.items()}

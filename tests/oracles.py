@@ -58,8 +58,9 @@ def loop_overlap_add(rows: np.ndarray, hop: int) -> np.ndarray:
 def loop_stoi(reference: Waveform, test: Waveform) -> float:
     """STOI with a loop over frames for silence removal and over 30-frame segments."""
     n = min(len(reference), len(test))
-    ref = metrics._resample_to_stoi_rate(reference.samples[:n], reference.sample_rate)
-    tst = metrics._resample_to_stoi_rate(test.samples[:n], reference.sample_rate)
+    taps = metrics._resample_filter(reference.sample_rate)
+    ref = metrics._resample_to_stoi_rate(reference.samples[:n], reference.sample_rate, taps)
+    tst = metrics._resample_to_stoi_rate(test.samples[:n], reference.sample_rate, taps)
     win = metrics._stoi_window()
     ref_frames = loop_frames(ref, metrics.STOI_FRAME_LEN, metrics.STOI_HOP) * win
     tst_frames = loop_frames(tst, metrics.STOI_FRAME_LEN, metrics.STOI_HOP) * win
@@ -133,6 +134,57 @@ def fd_gradient(
     minus = model_loss(model, batch, alpha, beta)
     w[index] = original
     return (plus - minus) / (2.0 * h)
+
+
+def kept_mask_gradients(
+    model: Model, inputs: np.ndarray, output_grad: np.ndarray, dropout: float, rng
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Outputs, pre-activations and (weight, bias) gradients by the textbook
+    recipe: each hidden layer's pre-activation z and dropout mask are kept
+    apart, the mask drawn from rng as `_forward` draws it, and the error
+    signal is multiplied by the mask, then gated by z > 0."""
+    h, pre, masks, acts = inputs, [], [], []
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = h @ w + b
+        mask = np.ones(z.shape, dtype=np.float32)
+        if dropout > 0.0:
+            mask = (rng.random(z.shape) >= dropout).astype(np.float32) / np.float32(1.0 - dropout)
+        h = np.maximum(z, 0.0) * mask
+        pre.append(z)
+        masks.append(mask)
+        acts.append(h)
+    outputs = h @ model.weights[-1] + model.biases[-1]
+    n_layers = len(model.weights)
+    grad_w, grad_b = [None] * n_layers, [None] * n_layers
+    delta = output_grad
+    for i in reversed(range(n_layers)):
+        prev = acts[i - 1] if i > 0 else inputs
+        grad_w[i] = prev.T @ delta
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ model.weights[i].T * masks[i - 1] * (pre[i - 1] > 0)
+    return outputs, pre, grad_w, grad_b
+
+
+# Defects a checkpoint can carry and still parse; each one would stop a
+# network run on the loaded model.
+CHECKPOINT_DEFECTS = ("no noise-aware frames", "zero variance", "NaN mean", "NaN variance", "NaN weight")
+
+
+def spoil_model(model: Model, defect: str) -> None:
+    """Give the model one of CHECKPOINT_DEFECTS in place. NormStats checks
+    its arrays when it is built, so the statistics are changed in place."""
+    lps = model.stats[FeatureKind.LPS]
+    if defect == "no noise-aware frames":
+        model.noise_aware_frames = 0
+    elif defect == "zero variance":
+        lps.variance[0] = 0.0
+    elif defect == "NaN mean":
+        lps.mean[0] = np.nan
+    elif defect == "NaN variance":
+        lps.variance[-1] = np.nan
+    else:
+        model.weights[-1][0, -1] = np.nan
 
 
 def dense_rows(inputs, targets_lps, targets_mfcc=None, targets_ibm=None) -> TrainingData:

@@ -48,7 +48,7 @@ from specjoint.cli import _history_csv, build_parser, main
 from specjoint.dsp import WINDOW_NAMES
 from specjoint.synth import harmonic_voice, white_noise
 
-from oracles import dense_rows
+from oracles import CHECKPOINT_DEFECTS, dense_rows, spoil_model
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -947,6 +947,19 @@ class TestEnhance:
             "enhance", "--config", str(env["config"]), str(ckpt), str(env["corpus"] / "noisy"), str(out)
         )
         assert_one_line_error(result, "error:", str(ckpt), "head table")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", CHECKPOINT_DEFECTS)
+    def test_checkpoint_that_cannot_run_fails_in_one_line(self, env, tmp_path, defect):
+        model = load_model(env["ckpt"])
+        spoil_model(model, defect)
+        ckpt = tmp_path / "spoilt.sjnn"
+        save_model(ckpt, model)
+        out = tmp_path / "o"
+        result = run_child(
+            "enhance", "--config", str(env["config"]), str(ckpt), str(env["corpus"] / "noisy"), str(out)
+        )
+        assert_one_line_error(result, "error:", str(ckpt))
         assert not out.exists()
 
     def test_misfit_head_width_fails_in_one_line(self, env, tmp_path):

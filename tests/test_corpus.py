@@ -240,6 +240,13 @@ class TestNormStats:
         with pytest.raises(ValueError, match="equal length"):
             NormStats(np.zeros(2), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stats_rejected(self, bad):
+        with pytest.raises(ValueError, match="mean and variance must be finite"):
+            NormStats(np.array([0.0, bad]), np.ones(2))
+        with pytest.raises(ValueError, match="mean and variance must be finite"):
+            NormStats(np.zeros(2), np.array([1.0, bad]))
+
     def test_file_roundtrip(self, tmp_path):
         # f32-exact values survive the container roundtrip unchanged.
         stats = NormStats(np.array([1.5, -0.25]), np.array([4.0, 0.5]))

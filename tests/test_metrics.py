@@ -183,14 +183,13 @@ class TestResampleFilter:
         x = rng.standard_normal(rate // 2)
         g = np.gcd(rate, metrics.STOI_RATE)
         want = resample_poly(x, metrics.STOI_RATE // g, rate // g).tobytes()
-        assert metrics._resample_to_stoi_rate(x, rate).tobytes() == want
         taps = metrics._resample_filter(rate)
         assert metrics._resample_to_stoi_rate(x, rate, taps).tobytes() == want
 
     def test_stoi_rate_input_is_returned_unchanged(self, rng):
         x = rng.standard_normal(5000)
         assert metrics._resample_filter(metrics.STOI_RATE) is None
-        assert metrics._resample_to_stoi_rate(x, metrics.STOI_RATE) is x
+        assert metrics._resample_to_stoi_rate(x, metrics.STOI_RATE, None) is x
 
 
 def profile_means(profiles, n_bins: int) -> np.ndarray:

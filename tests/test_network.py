@@ -32,13 +32,16 @@ from specjoint import (
 from specjoint.network import _Momentum, _dataset_loss, _forward, head_layout
 
 from oracles import (
+    CHECKPOINT_DEFECTS,
     as_float64,
     dense_rows,
     fd_gradient,
+    kept_mask_gradients,
     loop_train,
     model_loss,
     out_of_place_sgd_step,
     random_training_data,
+    spoil_model,
 )
 
 LPS_DIMS = 5
@@ -384,6 +387,33 @@ class TestBackward:
         assert all(a is b for a, b in zip(returned[0] + returned[1], arrays))
         for a, b in zip(fresh[0] + fresh[1], arrays):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("hidden_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1, 0.5])
+    def test_matches_the_kept_mask_oracle(self, dropout, dtype, hidden_layers):
+        model = tiny_model(Variant.MFCC_IBM, seed=6, hidden_layers=hidden_layers)
+        if dtype == np.float64:
+            as_float64(model)
+        rng = np.random.default_rng(6)
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+            # Two units that read nothing: their pre-activation is exactly 0.
+            w[:, :2] = 0.0
+            b[:2] = 0.0, -0.0
+        inputs = rng.standard_normal((40, INPUT_DIM)).astype(dtype)
+        inputs[:3] = 0.0
+        output_grad = rng.standard_normal((40, model.weights[-1].shape[1])).astype(dtype)
+        cache = _forward(model, inputs, dropout, np.random.default_rng(7))
+        grads = backward(model, cache, output_grad)
+        outputs, pre, *want = kept_mask_gradients(
+            model, inputs, output_grad, dropout, np.random.default_rng(7)
+        )
+        assert all(np.any(z == 0.0) and np.any(z < 0.0) and np.any(z > 0.0) for z in pre)
+        assert cache.outputs.tobytes() == outputs.tobytes()
+        for got, expected in zip(grads[0] + grads[1], want[0] + want[1]):
+            assert got.dtype == expected.dtype == dtype
+            assert got.tobytes() == expected.tobytes()
 
     def test_step_gets_each_layer_last_first_before_its_weights_change(self):
         model = tiny_model(Variant.MFCC_IBM, seed=5, hidden_layers=3)
@@ -737,6 +767,20 @@ class TestCheckpoint:
         save_model(path, model)
         with pytest.raises(FormatError, match="checkpoint has no layers"):
             load_model(path)
+
+    @pytest.mark.parametrize("defect", CHECKPOINT_DEFECTS)
+    def test_rejects_a_model_that_cannot_run(self, tmp_path, defect):
+        model = corpus_model(hidden_layers=1)
+        spoil_model(model, defect)
+        path = tmp_path / "model.sjnn"
+        save_model(path, model)
+        message = {
+            "no noise-aware frames": "noise_aware_frames must be >= 1, got 0",
+            "zero variance": "variance must be strictly positive",
+        }.get(defect, "checkpoint holds a NaN or infinite value")
+        with pytest.raises(FormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_rejects_truncation(self, tmp_path):
         path = self.saved(tmp_path)
