@@ -536,8 +536,8 @@ def load_training_data(
     and offsets its windows to match. The clean stores lay each voice's
     targets end to end, in the order the voices first appear, read once
     however many of its mixtures are given. Clean targets are normalized
-    with the noisy-data statistics of their kind; mask targets stay raw
-    {0, 1}. Every array is allocated once, sized from the container headers.
+    with the noisy-data statistics of their kind; mask targets (0 or 1) are
+    stored as bool. Every array is allocated once, sized from the container headers.
     """
     features_dir = Path(corpus_dir) / FEATURES_DIR
     dims = {kind: s.dims for kind, s in stats.items()}
@@ -568,7 +568,7 @@ def load_training_data(
     windows = np.empty((n_rows, 2 * tau + 2), dtype=np.intp)
     clean_rows = np.empty(n_rows, dtype=np.intp)
     clean = {kind: np.empty((n_clean, head_dims[kind]), dtype=np.float32) for kind in cleans}
-    ibm = np.empty((n_rows, head_dims[FeatureKind.IBM]), np.float32) if FeatureKind.IBM in head_dims else None
+    ibm = np.empty((n_rows, head_dims[FeatureKind.IBM]), bool) if FeatureKind.IBM in head_dims else None
 
     def read(path: Path, kind: FeatureKind, n_frames: int, width: int) -> np.ndarray:
         block = container.read_features(path)
@@ -595,7 +595,10 @@ def load_training_data(
         clean_rows[rows] = np.arange(first, first + n_frames)
         if ibm is not None:
             path = feature_path(features_dir, entry.utterance_id, _MASK_FILE)
-            ibm[rows] = read(path, FeatureKind.IBM, n_frames, head_dims[FeatureKind.IBM])
+            mask = read(path, FeatureKind.IBM, n_frames, head_dims[FeatureKind.IBM])
+            if not np.all((mask == 0.0) | (mask == 1.0)):
+                raise FormatError(f"{path}: a mask value is neither 0 nor 1")
+            ibm[rows] = mask
         start += n_frames
     for voice_id, (first, n_frames) in voices.items():
         for kind, name in cleans.items():

@@ -36,6 +36,7 @@ LOSS_NAMES = ("total", *HEAD_LOSS_NAMES.values())
 
 DEFAULT_HIDDEN_UNITS = 256
 DEFAULT_HIDDEN_LAYERS = 2
+BLOCK_BYTES = 1 << 20  # validation inputs and training weight gradients go in row blocks this size
 
 _VARIANT_CODES = {v: i for i, v in enumerate(Variant)}
 _CODE_VARIANTS = {i: v for v, i in _VARIANT_CODES.items()}
@@ -193,26 +194,41 @@ def _forward(
     return _ForwardCache(inputs, acts, outputs, scale)
 
 
+def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Slices of about BLOCK_BYTES over n_rows rows, with a 1-row tail joined to
+    the block before it: a row of a GEMM comes out the same whatever other rows
+    share the call, but a 1-row product goes through GEMV and rounds otherwise."""
+    size = max(2, BLOCK_BYTES // row_bytes)
+    ends = [*range(size, n_rows - 1, size), n_rows]
+    return [slice(a, b) for a, b in zip([0, *ends], ends)]
+
+
+def _outputs(model: Model, data: TrainingData) -> np.ndarray:
+    """`_forward(model, data.inputs, keep=False).outputs`, bit for bit, with the
+    first layer reading its inputs from the frame store a block of rows at a time."""
+    h = np.empty((data.n_rows, model.weights[0].shape[1]), np.result_type(data.frames, model.weights[0]))
+    row_bytes = data.windows.shape[1] * data.frames.shape[1] * data.frames.itemsize
+    for block in _row_blocks(data.n_rows, row_bytes):
+        np.matmul(data.take(block).inputs, model.weights[0], out=h[block])
+    h += model.biases[0]
+    for w, b in zip(model.weights[1:], model.biases[1:]):
+        h = np.maximum(h, 0.0, out=h) @ w + b
+    return h
+
+
 def predict(model: Model, inputs: np.ndarray) -> dict[FeatureKind, np.ndarray]:
     """Inference pass (no dropout); outputs split by head."""
     outputs = _forward(model, np.asarray(inputs, dtype=np.float32), keep=False).outputs
     return {h.kind: outputs[:, h.offset : h.offset + h.width] for h in model.heads}
 
 
-def loss_and_output_grad(
-    model: Model, outputs: np.ndarray, batch: TrainingData, alpha: float, beta: float
-) -> tuple[dict[str, float], np.ndarray]:
-    """Multi-objective loss and its gradient with respect to the outputs.
-
-    Spectral heads: mean over the batch of ||pred - target||^2 / ||target||^2,
-    the denominator floored at 1e-8. Mask head: mean of ||pred - target||^2.
-    Total = lps + alpha * mfcc + beta * ibm over the heads present, summed
-    in head order.
-    """
+def _losses(
+    model: Model, outputs: np.ndarray, batch: TrainingData, alpha: float, beta: float, grad=None
+) -> dict[str, float]:
+    """`loss_and_output_grad`'s losses; its gradient is written into `grad` if given."""
     n = outputs.shape[0]
     head_weights = {FeatureKind.LPS: 1.0, FeatureKind.MFCC: alpha, FeatureKind.IBM: beta}
     losses = {"total": 0.0}
-    grad = np.zeros_like(outputs)
     for spec in model.heads:
         pred = outputs[:, spec.offset : spec.offset + spec.width]
         target = batch.targets(spec.kind)
@@ -227,10 +243,23 @@ def loss_and_output_grad(
         weight = head_weights[spec.kind]
         losses[HEAD_LOSS_NAMES[spec.kind]] = loss
         losses["total"] += weight * loss
-        grad[:, spec.offset : spec.offset + spec.width] = (
-            2.0 * weight / n * diff64 / denom
-        ).astype(outputs.dtype)
-    return losses, grad
+        if grad is not None:
+            grad[:, spec.offset : spec.offset + spec.width] = 2.0 * weight / n * diff64 / denom
+    return losses
+
+
+def loss_and_output_grad(
+    model: Model, outputs: np.ndarray, batch: TrainingData, alpha: float, beta: float
+) -> tuple[dict[str, float], np.ndarray]:
+    """Multi-objective loss and its gradient with respect to the outputs.
+
+    Spectral heads: mean over the batch of ||pred - target||^2 / ||target||^2,
+    the denominator floored at 1e-8. Mask head: mean of ||pred - target||^2.
+    Total = lps + alpha * mfcc + beta * ibm over the heads present, summed
+    in head order.
+    """
+    grad = np.zeros_like(outputs)
+    return _losses(model, outputs, batch, alpha, beta, grad), grad
 
 
 def backward(
@@ -238,42 +267,42 @@ def backward(
     cache: _ForwardCache,
     output_grad: np.ndarray,
     out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
-    step: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    step: Callable[[int, slice, np.ndarray, np.ndarray | None], None] | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
     """Gradient of the loss with respect to every weight and bias.
 
     With `out`, a (weights, biases) pair of arrays shaped like the model's
     parameters, the gradients are written into those arrays and `out` is
     returned; without it, a new pair is allocated.
 
-    With `step`, `step(layer, grad_w, grad_b)` gets each layer's gradients
-    as soon as they are ready, last layer first, and only after the error
-    signal of the layer below has been computed from this layer's weights.
-    So `step` may update the layer in place, and the arrays in `out` may be
-    views of one shared buffer; the returned lists then hold only what the
-    last write left in it.
+    With `step`, None is returned and `step(layer, rows, grad_w, grad_b)` gets
+    the weight gradients in row blocks of about BLOCK_BYTES, last layer first,
+    each after the error signal below its layer has been computed, so it may
+    update those rows in place; grad_b is the bias gradient with a layer's
+    first block and None with the others.
     """
     n_layers = len(model.weights)
     grad_w, grad_b = out if out is not None else ([None] * n_layers, [None] * n_layers)
     delta = output_grad
     for i in range(n_layers - 1, -1, -1):
         prev = cache.activations[i - 1] if i > 0 else cache.inputs
-        grad_w[i] = np.matmul(prev.T, delta, out=grad_w[i])
-        grad_b[i] = delta.sum(axis=0, out=grad_b[i])
+        layer_delta = delta
         if i > 0:
             delta = (delta @ model.weights[i].T) * (prev > 0)  # ReLU gate: kept activation > 0
             if cache.dropout_scale is not None:
                 delta *= cache.dropout_scale
-        if step is not None:
-            step(i, grad_w[i], grad_b[i])
-    return grad_w, grad_b
+        grad_b[i] = layer_delta.sum(axis=0, out=grad_b[i])
+        if step is None:
+            grad_w[i] = np.matmul(prev.T, layer_delta, out=grad_w[i])
+            continue
+        for k, rows in enumerate(_row_blocks(prev.shape[1], layer_delta.shape[1] * layer_delta.itemsize)):
+            step(i, rows, prev[:, rows].T @ layer_delta, None if k else grad_b[i])
+    return None if step is not None else (grad_w, grad_b)
 
 
 def batch_loss(model: Model, batch: TrainingData, alpha: float, beta: float) -> dict[str, float]:
-    """Loss on a batch without dropout; used for validation."""
-    outputs = _forward(model, batch.inputs, keep=False).outputs
-    losses, _ = loss_and_output_grad(model, outputs, batch, alpha, beta)
-    return losses
+    """Loss on a batch without dropout, for validation: it builds no gradient (see `_outputs`)."""
+    return _losses(model, _outputs(model, batch), batch, alpha, beta)
 
 
 @dataclass
@@ -343,32 +372,25 @@ def train(
     error. With validation rows, the parameters from the best-validation
     epoch are restored at the end.
 
-    Each step's backward pass hands every layer's gradients to `sgd_step`
-    as soon as they are ready, so they pass through one buffer the size of
-    the largest layer. Besides the parameters, a run holds that buffer and
-    three parameter-sized sets, each allocated once: the momentum velocity,
-    the epoch-start snapshot and, with validation rows, the best-validation
-    copy.
+    Each step's backward pass hands the weight gradients to `sgd_step` in
+    row blocks of about BLOCK_BYTES, and validation (`batch_loss`) builds no
+    gradient. So besides the parameters a run holds three parameter-sized
+    sets, each allocated once: the momentum velocity, the epoch-start
+    snapshot and, with validation rows, the best-validation copy.
     """
     dropout_rng = np.random.default_rng(config.seed + 0x5EED)
     state = _Momentum.zeros_like(model)
-    dtype = model.weights[0].dtype
-    weight_buffer = np.empty(max(w.size for w in model.weights), dtype)
-    bias_buffer = np.empty(max(b.size for b in model.biases), dtype)
-    grads = (
-        [weight_buffer[: w.size].reshape(w.shape) for w in model.weights],
-        [bias_buffer[: b.size] for b in model.biases],
-    )
     history: list[EpochStats] = []
     best_val = np.inf
     epoch_start = best_params = None
     for epoch in range(config.epochs):
         lr = config.learning_rate_at(epoch)
 
-        def step(layer: int, grad_w: np.ndarray, grad_b: np.ndarray) -> None:
-            one_layer = replace(model, weights=[model.weights[layer]], biases=[model.biases[layer]])
-            velocity = _Momentum([state.velocity_w[layer]], [state.velocity_b[layer]])
-            sgd_step(one_layer, ([grad_w], [grad_b]), velocity, lr, config.momentum)
+        def step(layer: int, rows: slice, grad_w: np.ndarray, grad_b: np.ndarray | None) -> None:
+            bias = slice(layer, layer + (grad_b is not None))  # a layer's first block brings its bias
+            block = replace(model, weights=[model.weights[layer][rows]], biases=model.biases[bias])
+            velocity = _Momentum([state.velocity_w[layer][rows]], state.velocity_b[bias])
+            sgd_step(block, ([grad_w], [grad_b][: len(block.biases)]), velocity, lr, config.momentum)
 
         epoch_start = _snapshot(model, epoch_start)
         weighted: list[tuple[dict[str, float], int]] = []
@@ -382,7 +404,7 @@ def train(
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}; lower the learning rate", history
                 )
-            backward(model, cache, output_grad, out=grads, step=step)
+            backward(model, cache, output_grad, step=step)
             weighted.append((losses, batch.n_rows))
         train_losses = mean_losses(weighted)
         val_losses = None

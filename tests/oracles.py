@@ -326,5 +326,5 @@ def materialised_training_data(
         inputs=np.vstack(inputs).astype(np.float32),
         targets_lps=np.vstack(t_lps).astype(np.float32),
         targets_mfcc=np.vstack(t_mfcc).astype(np.float32) if want_mfcc else None,
-        targets_ibm=np.vstack(t_ibm).astype(np.float32) if want_ibm else None,
+        targets_ibm=np.vstack(t_ibm).astype(bool) if want_ibm else None,
     )

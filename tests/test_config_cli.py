@@ -722,6 +722,21 @@ class TestMalformedCorpus:
         assert errors == [f"error: {target}: 100 LPS columns, expected 257 LPS"], result.stderr
         assert not (tmp_path / "m.sjnn").exists()
 
+    def test_mask_that_is_not_0_or_1_fails_in_one_line(self, env, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(env["corpus"], corpus)
+        entry = next(e for e in read_manifest(corpus / "manifest.tsv") if e.split == "train")
+        target = corpus / "features" / f"{entry.utterance_id}.ibm.sjfm"
+        mask = read_features(target).data.copy()
+        mask[0, 0] = 0.5
+        write_features(target, FeatureMatrix(mask, FeatureKind.IBM))
+        ckpt = tmp_path / "m.sjnn"
+        result = run_child("train", "--config", str(env["config"]), "--variant", "ibm", str(corpus), str(ckpt))
+        assert result.returncode == 1 and "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {target}: a mask value is neither 0 nor 1"], result.stderr
+        assert not ckpt.exists()
+
     def test_corpus_with_per_mixture_clean_targets(self, env, tmp_path):
         # The earlier layout: clean targets once per mixture, none per voice.
         corpus = tmp_path / "corpus"

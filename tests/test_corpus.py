@@ -874,6 +874,16 @@ class TestLoadTrainingData:
         with pytest.raises(FormatError, match=re.escape(f"{target}: {message}")):
             load_training_data(tmp_path, entries, variant, stats)
 
+    @pytest.mark.parametrize("value", [0.5, -1.0, 2.0])
+    def test_mask_that_is_not_0_or_1_named(self, tmp_path, value):
+        entries, stats = write_feature_corpus(tmp_path, [8, 8], 5, 3, seed=1)
+        target = feature_path(tmp_path / corpus_mod.FEATURES_DIR, entries[1].utterance_id, "ibm")
+        mask = np.eye(8, 5)
+        mask[3, 2] = value
+        write_features(target, FeatureMatrix(mask, FeatureKind.IBM))
+        with pytest.raises(FormatError, match=re.escape(f"{target}: a mask value is neither 0 nor 1")):
+            load_training_data(tmp_path, entries, Variant.IBM, stats)
+
     def test_misaligned_target_named(self, tmp_path):
         entries, stats = write_feature_corpus(tmp_path, [8], 5, 3, seed=1)
         target = feature_path(tmp_path / corpus_mod.FEATURES_DIR, entries[0].clean_path.stem, "clean_lps")

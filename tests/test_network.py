@@ -14,6 +14,7 @@ from specjoint import (
     Model,
     NormStats,
     TrainConfig,
+    TrainingData,
     TrainingDivergedError,
     Variant,
     assemble_batches,
@@ -29,7 +30,7 @@ from specjoint import (
     sgd_step,
     train,
 )
-from specjoint.network import _Momentum, _dataset_loss, _forward, head_layout
+from specjoint.network import BLOCK_BYTES, _Momentum, _dataset_loss, _forward, _outputs, head_layout
 
 from oracles import (
     CHECKPOINT_DEFECTS,
@@ -106,6 +107,24 @@ def linear_model(weight, heads, bias=None):
 
 def one_batch(data):
     return dense_rows(data.inputs, data.targets_lps, data.targets_mfcc, data.targets_ibm)
+
+
+WIDE_INPUT = 8 * 298  # 2,384: tau 3 and 257 LPS + 41 MFCC columns, as the corpus lays them out
+
+
+def frame_store_data(n_rows, seed, n_frames=300):
+    """Rows whose 2,384-wide inputs are gathered from a small frame store,
+    with LPS and bool mask targets, as load_training_data returns them."""
+    rng = np.random.default_rng(seed)
+    frames = rng.standard_normal((n_frames, WIDE_INPUT // 8)).astype(np.float32)
+    windows = rng.integers(0, n_frames, (n_rows, 8))
+    clean_lps = rng.standard_normal((n_frames, LPS_DIMS)).astype(np.float32)
+    ibm = rng.random((n_rows, LPS_DIMS)) > 0.5
+    return TrainingData(frames, windows, clean_lps, None, rng.integers(0, n_frames, n_rows), ibm)
+
+
+def wide_model():
+    return init_model(Variant.IBM, WIDE_INPUT, {}, 3, 6, LPS_DIMS, MFCC_DIMS, hidden_units=16, seed=8)
 
 
 class TestInit:
@@ -421,26 +440,53 @@ class TestBackward:
         cache = _forward(model, batch.inputs, dropout=0.2, rng=np.random.default_rng(5))
         _, output_grad = loss_and_output_grad(model, cache.outputs, batch, 0.1, 0.002)
         expected = backward(model, cache, output_grad)
-        # Every layer's gradients are written into the same two buffers.
-        weight_buffer = np.empty(max(w.size for w in model.weights), np.float32)
-        bias_buffer = np.empty(max(b.size for b in model.biases), np.float32)
-        shared = (
-            [weight_buffer[: w.size].reshape(w.shape) for w in model.weights],
-            [bias_buffer[: b.size] for b in model.biases],
-        )
         arrived = []
 
-        def step(layer, grad_w, grad_b):
+        def step(layer, rows, grad_w, grad_b):
+            # Each of these layers fits in one block, which brings the bias gradient.
+            assert rows == slice(0, model.weights[layer].shape[0])
             arrived.append((layer, grad_w.tobytes(), grad_b.tobytes()))
             # A later read of this layer's weights would turn every gradient below it to NaN.
             model.weights[layer].fill(np.nan)
             model.biases[layer].fill(np.nan)
 
-        backward(model, cache, output_grad, out=shared, step=step)
+        assert backward(model, cache, output_grad, step=step) is None
         assert [layer for layer, _, _ in arrived] == [3, 2, 1, 0]
         for layer, grad_w, grad_b in arrived:
             assert grad_w == expected[0][layer].tobytes()
             assert grad_b == expected[1][layer].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tail", [0, 1, 2])
+    def test_row_blocks_match_the_whole_gradient(self, dtype, tail):
+        # The first layer's weight gradient spans two blocks of 2,048-unit
+        # rows, plus `tail` rows; a 1-row product would round otherwise.
+        block = BLOCK_BYTES // (2048 * np.dtype(dtype).itemsize)
+        model = init_model(
+            Variant.IBM, 2 * block + tail, {}, 3, 6, LPS_DIMS, MFCC_DIMS, hidden_units=2048, hidden_layers=1
+        )
+        if dtype == np.float64:
+            as_float64(model)
+        rng = np.random.default_rng(tail)
+        inputs = rng.standard_normal((128, model.input_dim)).astype(dtype)
+        output_grad = rng.standard_normal((128, 2 * LPS_DIMS)).astype(dtype)
+        cache = _forward(model, inputs, 0.1, np.random.default_rng(1))
+        want_w, want_b = backward(model, cache, output_grad)
+        got_w, got_b, sizes = [np.full_like(w, np.nan) for w in model.weights], {}, []
+
+        def step(layer, rows, grad_w, grad_b):
+            assert np.isnan(got_w[layer][rows]).all()
+            got_w[layer][rows] = grad_w
+            sizes.append(grad_w.shape[0])
+            if grad_b is not None:
+                assert layer not in got_b
+                got_b[layer] = grad_b.copy()
+
+        backward(model, cache, output_grad, step=step)
+        for got, want in zip(got_w + [got_b[0], got_b[1]], want_w + [want_b[0], want_b[1]]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        first_layer = [block, block + 1] if tail == 1 else [block, block] + [tail] * (tail > 0)
+        assert sizes == [2048] + first_layer
 
 
 class TestSgdStep:
@@ -877,16 +923,22 @@ class TestMemory:
         load_model(path)  # first-use allocations are not what this measures
         assert traced_peak(lambda: load_model(path)) < 1.25 * parameter_bytes(model)
 
-    def test_train_holds_one_layer_of_gradients(self):
-        # Three 512x512 layers hold nearly all the parameters. Velocity, the
-        # epoch-start snapshot and one layer-sized gradient buffer come to
-        # about 2.34x the parameters; a whole gradient set would pass 3x.
-        model = tiny_model(hidden_units=512, hidden_layers=4)
-        assert max(w.nbytes for w in model.weights) < 0.34 * parameter_bytes(model)
+    def test_train_holds_gradients_in_row_blocks(self):
+        # Two 1536x1536 layers hold nearly all the parameters. Velocity and
+        # the epoch-start snapshot come to 2x the parameters, and a 1 MB block
+        # of weight gradients to 0.05x; one layer-sized buffer would pass 2.5x.
+        model = tiny_model(hidden_units=1536, hidden_layers=3)
+        assert BLOCK_BYTES < 0.1 * parameter_bytes(model)
         data = tiny_data(n_rows=16)
         config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=0)
         train(tiny_model(), data, config)
-        assert traced_peak(lambda: train(model, data, config)) < 2.6 * parameter_bytes(model)
+        assert traced_peak(lambda: train(model, data, config)) < 2.1 * parameter_bytes(model)
+
+    def test_validation_gathers_no_chunk(self):
+        model, data = wide_model(), frame_store_data(4096, seed=0)
+        gathered = 4096 * WIDE_INPUT * 4
+        _dataset_loss(model, data, 0.1, 0.002)
+        assert traced_peak(lambda: _dataset_loss(model, data, 0.1, 0.002)) < gathered / 2
 
     def test_loss_and_predict_keep_no_backward_cache(self):
         # Four hidden layers of 2,000 rows: a pass holds a layer's input, its
@@ -916,3 +968,17 @@ class TestBatchLoss:
         batch = one_batch(tiny_data(Variant.MFCC_IBM, seed=13))
         report = batch_loss(model, batch, 0.1, 0.002)
         assert report["total"] == pytest.approx(model_loss(model, batch, 0.1, 0.002), rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)], ids=["1", "b-1", "b", "b+1", "2b+1"]
+    )
+    def test_blocked_first_layer_matches_the_gathered_pass(self, dtype, blocks, extra):
+        # Blocks of 109 gathered rows; a 1-row block would round otherwise.
+        data = frame_store_data(blocks * (BLOCK_BYTES // (WIDE_INPUT * 4)) + extra, seed=blocks + extra)
+        model = wide_model()
+        if dtype == np.float64:
+            as_float64(model)
+        got, want = _outputs(model, data), _forward(model, data.inputs, keep=False).outputs
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+        assert batch_loss(model, data, 0.1, 0.002) == loss_and_output_grad(model, want, data, 0.1, 0.002)[0]
